@@ -62,31 +62,57 @@ _SWEEPABLE = {
 
 
 def _require_keys(section: dict, allowed: set, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
-def _parse_sweep(raw: dict, mode: str, where: str) -> dict:
+def _number(value, where: str, kind=float):
+    """value as a finite float (or int); anything else is a ConfigError."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return number
+
+
+def _section(raw: dict, name: str, defaults: dict) -> dict:
+    """An optional section of numbers, each of its default's type."""
+    section = raw.get(name, {})
+    _require_keys(section, set(defaults), name)
+    return {key: _number(section.get(key, default), f"{name}.{key}",
+                         type(default))
+            for key, default in defaults.items()}
+
+
+def _count_or_none(value, where: str) -> int | None:
+    if value is None or (type(value) is int and value >= 1):
+        return value
+    raise ConfigError(f"{where} must be null or an integer >= 1, got {value!r}")
+
+
+def _parse_sweep(raw: dict, mode: str, where: str, n_atoms: int) -> dict:
     _require_keys(raw, _SWEEP_KEYS, where)
     for key in ("param", "start", "stop", "points"):
         if key not in raw:
             raise ConfigError(f"{where} is missing '{key}'")
-    param = raw["param"]
+    param = str(raw["param"])
     swp = {
         "param": param,
-        "start": float(raw["start"]),
-        "stop": float(raw["stop"]),
-        "points": int(raw["points"]),
+        "start": _number(raw["start"], f"{where}.start"),
+        "stop": _number(raw["stop"], f"{where}.stop"),
+        "points": _number(raw["points"], f"{where}.points", int),
         "scale": raw.get("scale", "linear"),
     }
     if param.startswith("position["):
-        if not param.endswith("]"):
-            raise ConfigError(f"malformed sweep param '{param}'")
-        try:
-            int(param[len("position["):-1])
-        except ValueError:
-            raise ConfigError(f"malformed sweep param '{param}'") from None
+        idx = param[len("position["):-1]
+        if not (param.endswith("]") and idx.isdigit() and int(idx) < n_atoms):
+            raise ConfigError(f"sweep param '{param}' names none of the "
+                              f"{n_atoms} atoms")
     elif param not in _SWEEPABLE[mode]:
         raise ConfigError(
             f"'{param}' is not sweepable in mode '{mode}' "
@@ -95,8 +121,6 @@ def _parse_sweep(raw: dict, mode: str, where: str) -> dict:
         raise ConfigError(f"{where}: scale must be 'linear' or 'log'")
     if swp["points"] < 2:
         raise ConfigError(f"{where}: points must be >= 2 when sweeping")
-    if not (math.isfinite(swp["start"]) and math.isfinite(swp["stop"])):
-        raise ConfigError(f"{where}: sweep range must be finite")
     if not swp["start"] < swp["stop"]:
         raise ConfigError(f"{where}: start must be < stop")
     if swp["scale"] == "log" and swp["start"] <= 0:
@@ -118,15 +142,15 @@ def load_config(path: str) -> dict:
     _require_keys(raw, _TOP_KEYS, "config")
 
     mode = raw.get("mode")
-    if mode not in _MODES:
+    if not isinstance(mode, str) or mode not in _MODES:
         raise ConfigError(f"mode must be one of {sorted(_MODES)}")
 
     cfg = {
         "mode": mode,
-        "seed": int(raw.get("seed", 0)),
-        "n_workers": int(raw.get("n_workers", 1)),
-        "n_max": raw.get("n_max"),
-        "points": raw.get("points"),
+        "seed": _number(raw.get("seed", 0), "seed", int),
+        "n_workers": _number(raw.get("n_workers", 1), "n_workers", int),
+        "n_max": _count_or_none(raw.get("n_max"), "n_max"),
+        "points": _count_or_none(raw.get("points"), "points"),
     }
     if cfg["n_workers"] < 1:
         raise ConfigError("n_workers must be >= 1")
@@ -165,38 +189,31 @@ def load_config(path: str) -> dict:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid params: {exc}") from None
+    # omega_n may be None; every other field is a float or a tuple of them
+    bad = [k for k, v in vars(base).items() if not np.isfinite(v or 0.0).all()]
+    if bad:
+        raise ConfigError(f"params must be finite: {bad}")
     cfg["params"] = base
 
-    probe = raw.get("probe", {})
-    _require_keys(probe, {"omega_p", "delta_p"}, "probe")
-    cfg["probe_omega_p"] = float(probe.get("omega_p", 1e-3))
-    cfg["probe_delta_p"] = float(probe.get("delta_p", 0.0))
-
-    stark = raw.get("stark", {})
-    _require_keys(stark, {"x_probe", "delta_2"}, "stark")
-    cfg["x_probe"] = float(stark.get("x_probe", 0.25))
-    cfg["delta_2"] = float(stark.get("delta_2", 1000.0))
+    probe = _section(raw, "probe", {"omega_p": 1e-3, "delta_p": 0.0})
+    stark = _section(raw, "stark", {"x_probe": 0.25, "delta_2": 1000.0})
+    pattern = _section(raw, "pattern", {"n_atoms": base.n_atoms, "parity": 0})
+    cfg.update(probe_omega_p=probe["omega_p"], probe_delta_p=probe["delta_p"],
+               x_probe=stark["x_probe"], delta_2=stark["delta_2"],
+               pattern_n=pattern["n_atoms"], pattern_parity=pattern["parity"],
+               t_final=_section(raw, "evolve", {"t_final": 10.0})["t_final"])
     if mode == "stark" and cfg["delta_2"] == 0:
         raise ConfigError("stark.delta_2 must be nonzero")
-
-    pattern = raw.get("pattern", {})
-    _require_keys(pattern, {"n_atoms", "parity"}, "pattern")
-    cfg["pattern_n"] = int(pattern.get("n_atoms", base.n_atoms))
-    cfg["pattern_parity"] = int(pattern.get("parity", 0))
     if mode == "collective":
         try:
             PatternSpec(cfg["pattern_n"], cfg["pattern_parity"])
         except ValueError as exc:
             raise ConfigError(f"invalid pattern: {exc}") from None
-
-    ev = raw.get("evolve", {})
-    _require_keys(ev, {"t_final"}, "evolve")
-    cfg["t_final"] = float(ev.get("t_final", 10.0))
     if cfg["t_final"] < 0:
         raise ConfigError("evolve.t_final must be >= 0")
 
     for which in ("sweep", "sweep2"):
-        cfg[which] = (_parse_sweep(raw[which], mode, which)
+        cfg[which] = (_parse_sweep(raw[which], mode, which, base.n_atoms)
                       if raw.get(which) is not None else None)
     if cfg["sweep2"] is not None and cfg["sweep"] is None:
         raise ConfigError("sweep2 requires sweep")
@@ -222,10 +239,7 @@ def _apply(cfg: dict, assignments: dict) -> dict:
               "omega_n": params.omega_n}
     for name, value in assignments.items():
         if name.startswith("position["):
-            idx = int(name[len("position["):-1])
-            if not 0 <= idx < len(fields["positions"]):
-                raise ConfigError(f"position index {idx} out of range")
-            fields["positions"][idx] = value
+            fields["positions"][int(name[len("position["):-1])] = value
         elif name == "t_final":
             point["t_final"] = value
         elif name == "delta_p":

@@ -36,11 +36,6 @@ class EffectiveFieldParams:
     xi: complex
     regime_valid: bool
 
-    @property
-    def linewidth(self) -> float:
-        # total field decay rate; kappa is folded in by the caller
-        return self.gamma_prime
-
 
 @dataclass(frozen=True)
 class PatternSpec:

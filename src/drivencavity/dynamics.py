@@ -15,6 +15,7 @@ from .model import (
     Superoperator,
     build_liouvillian,
     build_space,
+    default_n_max,
 )
 from .operators import (
     DensityMatrix,
@@ -26,9 +27,9 @@ from .operators import (
     fock_populations,
 )
 
-# Liouvillians at or below this matrix side use the dense SVD null-space
-# solve (with degeneracy detection); larger ones use a sparse LU solve.
-DENSE_LIOUVILLIAN_LIMIT = 1100
+# The trace-row matrix is treated as singular when its 1-norm condition
+# estimate exceeds this bound (a relative null-space threshold of 1e-10).
+DEGENERACY_CONDITION_LIMIT = 1e10
 
 G2_DEFINED_THRESHOLD = 1e-12
 
@@ -41,9 +42,10 @@ class SteadyStateError(RuntimeError):
 
 
 class DegenerateSteadyStateError(SteadyStateError):
-    def __init__(self, null_dim: int):
-        super().__init__(f"degenerate steady state: null-space dimension {null_dim}")
-        self.null_dim = null_dim
+    def __init__(self, condition: float):
+        super().__init__(
+            f"degenerate steady state: condition estimate {condition:.3e}")
+        self.condition = condition
 
 
 class TruncationEscalationError(RuntimeError):
@@ -72,47 +74,39 @@ class SteadySolution:
     escalations: int
 
 
-def _hermitize_normalize(space: SpaceDescriptor, m: np.ndarray) -> np.ndarray:
-    m = (m + m.conj().T) / 2
-    return m / np.trace(m).real
-
-
 def steady_state(l: Superoperator) -> DensityMatrix:
     """Unique unit-trace null element of the Liouvillian.
 
-    Dense SVD (smallest singular vector, with an explicit degeneracy
-    check) below DENSE_LIOUVILLIAN_LIMIT; sparse LU with a trace row
-    above it.
+    The first equation of L rho = 0 is replaced by the trace row and the
+    system is solved by sparse LU.  A degenerate null space makes that
+    matrix singular: a failed factorization, or a 1-norm condition estimate
+    (from one extra solve against a fixed random vector) above
+    DEGENERACY_CONDITION_LIMIT, raises DegenerateSteadyStateError.
     """
     dim = l.space.dim
     side = l.matrix.shape[0]
-    if side <= DENSE_LIOUVILLIAN_LIMIT:
-        lmat = l.matrix.toarray()
-        _, svals, vh = np.linalg.svd(lmat)
-        norm = svals[0]
-        if norm == 0:
-            raise DegenerateSteadyStateError(side)
-        n_null = int((svals < 1e-10 * norm).sum())
-        if n_null > 1:
-            raise DegenerateSteadyStateError(n_null)
-        rho = vh[-1].conj().reshape(dim, dim)
-    else:
-        # replace one equation by the trace constraint, then direct solve
-        m = l.matrix.tolil(copy=True)
-        m[0, :] = 0.0
-        for i in range(dim):
-            m[0, i * dim + i] = 1.0
-        b = np.zeros(side, dtype=complex)
-        b[0] = 1.0
-        rho = spla.splu(m.tocsc()).solve(b).reshape(dim, dim)
-    rho = _hermitize_normalize(l.space, rho)
+    trace_row = sp.csr_matrix((np.ones(dim), (np.zeros(dim, dtype=int),
+                                              np.arange(dim) * (dim + 1))),
+                              shape=(side, side))
+    m = (sp.diags(np.r_[0.0, np.ones(side - 1)]) @ l.matrix + trace_row).tocsc()
+    try:
+        lu = spla.splu(m)
+    except RuntimeError:
+        raise DegenerateSteadyStateError(math.inf) from None
+    r = np.random.default_rng(0).standard_normal(side)
+    condition = (spla.norm(m, 1) * np.abs(lu.solve(r.astype(complex))).sum()
+                 / np.abs(r).sum())
+    if not condition <= DEGENERACY_CONDITION_LIMIT:
+        raise DegenerateSteadyStateError(condition)
+    b = np.zeros(side, dtype=complex)
+    b[0] = 1.0
+    rho = lu.solve(b).reshape(dim, dim)
+    rho = (rho + rho.conj().T) / 2 / np.trace(rho).real
     residual = float(np.linalg.norm(l.matrix @ rho.reshape(-1)))
     if residual > 1e-9 * dim:
         raise SteadyStateError(
             f"steady-state residual {residual:.3e} exceeds {1e-9 * dim:.3e}")
-    dm = DensityMatrix.from_matrix(l.space, rho, check=False)
-    object.__setattr__(dm, "_residual", residual)
-    return dm
+    return DensityMatrix.from_matrix(l.space, rho, check=False)
 
 
 def evolve(rho0: DensityMatrix, l: Superoperator, t_final: float,
@@ -174,8 +168,6 @@ def solve_steady(params: SystemParams, n_max: int | None = None) -> SteadySoluti
     The top two Fock populations must stay below TAIL_POPULATION_LIMIT;
     otherwise n_max grows by 50% (at most three times).
     """
-    from .model import default_n_max
-
     current = n_max if n_max is not None else default_n_max(params)
     for escalation in range(MAX_TRUNCATION_ESCALATIONS + 1):
         space = build_space(params, current)
@@ -183,10 +175,10 @@ def solve_steady(params: SystemParams, n_max: int | None = None) -> SteadySoluti
         rho = steady_state(l)
         tail = fock_populations(rho)[-2:].sum()
         if tail < TAIL_POPULATION_LIMIT:
+            residual = np.linalg.norm(l.matrix @ rho.entries.reshape(-1))
             return SteadySolution(
                 rho=rho, space=space, n_max=current,
-                residual=getattr(rho, "_residual", float("nan")),
-                escalations=escalation,
+                residual=float(residual), escalations=escalation,
             )
         current = math.ceil(current * 1.5)
     raise TruncationEscalationError(

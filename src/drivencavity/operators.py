@@ -15,9 +15,6 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-# Matrices at or below this Hilbert-space dimension are kept dense.
-DENSE_DIM_LIMIT = 512
-
 
 class SpaceMismatchError(ValueError):
     """Operands live on different Hilbert spaces."""

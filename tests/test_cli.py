@@ -68,6 +68,27 @@ def test_sweep_validation(tmp_path, sweep):
         load_config(cfg_path)
 
 
+@pytest.mark.parametrize("overrides", [
+    {"sweep": {"param": "kappa", "start": "abc", "stop": 1.0, "points": 3}},
+    {"n_workers": "two"},
+    {"n_max": "x"},
+    {"n_max": -3},
+    {"params": dict(BASE_PARAMS, omega=float("nan"))},
+    {"params": dict(BASE_PARAMS, kappa=float("inf"))},
+    {"n_max": 2.5},
+    {"mode": ["steady"]},
+    {"output": 5},
+    {"sweep": {"param": "position[1]", "start": 0.0, "stop": 0.5,
+               "points": 3}},
+])
+def test_malformed_field_is_config_error(tmp_path, overrides):
+    cfg = _write_cfg(tmp_path, dict({
+        "mode": "steady", "params": BASE_PARAMS,
+        "output": {"path": str(tmp_path / "o.csv"), "format": "csv"}},
+        **overrides))
+    assert main(["validate", cfg]) == EXIT_CONFIG
+
+
 def test_single_point_run_gives_one_row(tmp_path):
     cfg = load_config(_write_cfg(tmp_path, {
         "mode": "steady", "params": BASE_PARAMS,

@@ -59,14 +59,32 @@ def test_emission_ratio_tracks_cooperativity():
     assert (2 * c1 - 1) / 2 < ratio < (2 * c1 - 1) * 2
 
 
-def test_degenerate_steady_state_detected():
+@pytest.mark.parametrize("omega, g0, kappa, n_max", [
     # no drive, no coupling, no cavity decay: every Fock diagonal is a
-    # fixed point, so the null space is multi-dimensional
-    p = _params(omega=0.0, g0=0.0, kappa=0.0)
-    space = build_space(p, n_max=2)
-    l = build_liouvillian(p, space)
+    # fixed point, so the null space is multi-dimensional; the LU
+    # factorization fails outright, with a different error at each size
+    (0.0, 0.0, 0.0, 2),
+    (0.0, 0.0, 0.0, 20),
+    # near-degenerate: the factorization succeeds, the condition
+    # estimate of the trace-row matrix exceeds the limit
+    (1.0, 1e-8, 0.0, 6),
+    (1.0, 0.0, 1e-12, 6),
+    (1.0, 1e-6, 0.0, 6),
+], ids=["uncoupled-n_max2", "uncoupled-n_max20", "g0_1e-8", "kappa_1e-12",
+        "g0_1e-6"])
+def test_degenerate_steady_state_detected(omega, g0, kappa, n_max):
+    p = _params(omega=omega, g0=g0, kappa=kappa)
+    l = build_liouvillian(p, build_space(p, n_max=n_max))
     with pytest.raises(DegenerateSteadyStateError):
         steady_state(l)
+
+
+def test_weakly_coupled_steady_state_still_solves():
+    # control for the near-degenerate cases above: small but resolvable
+    p = _params(omega=1.0, g0=1e-4, kappa=0.0)
+    l = build_liouvillian(p, build_space(p, n_max=6))
+    rho = steady_state(l)
+    assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_evolve_zero_generator_is_identity_map():
