@@ -10,18 +10,21 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
+import itertools
 import json
 import math
 import os
 import sys
 import warnings
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .collective import PatternSpec, excited_population, in_phase_alpha
 from .dynamics import evolve, ground_state, observables, solve_steady
-from .figures import SweepResult, build_preset, preset_names
+from .figures import PRESETS, Preset, preset_names
 from .model import RegimeWarning, SystemParams, build_liouvillian, build_space
 from .spectrum import ProbeParams, excitation_spectrum, probe_stark_shift
 
@@ -44,9 +47,9 @@ class ConfigError(ValueError):
 _PARAM_KEYS = {"positions", "g0", "omega", "kappa", "delta", "delta_c",
                "theta", "gamma", "omega_n"}
 _SWEEP_KEYS = {"param", "start", "stop", "points", "scale"}
-_TOP_KEYS = {"mode", "params", "sweep", "sweep2", "output", "seed",
-             "n_workers", "probe", "stark", "pattern", "evolve", "n_max",
-             "figure", "points"}
+_TOP_KEYS = {"mode", "params", "sweep", "sweep2", "output", "n_workers",
+             "probe", "stark", "pattern", "evolve", "n_max", "figure",
+             "points"}
 _MODES = {"steady", "evolve", "spectrum", "stark", "collective", "figure"}
 
 # sweepable scalars, per mode
@@ -147,7 +150,6 @@ def load_config(path: str) -> dict:
 
     cfg = {
         "mode": mode,
-        "seed": _number(raw.get("seed", 0), "seed", int),
         "n_workers": _number(raw.get("n_workers", 1), "n_workers", int),
         "n_max": _count_or_none(raw.get("n_max"), "n_max"),
         "points": _count_or_none(raw.get("points"), "points"),
@@ -193,37 +195,67 @@ def load_config(path: str) -> dict:
     bad = [k for k, v in vars(base).items() if not np.isfinite(v or 0.0).all()]
     if bad:
         raise ConfigError(f"params must be finite: {bad}")
-    cfg["params"] = base
-
-    probe = _section(raw, "probe", {"omega_p": 1e-3, "delta_p": 0.0})
-    stark = _section(raw, "stark", {"x_probe": 0.25, "delta_2": 1000.0})
-    pattern = _section(raw, "pattern", {"n_atoms": base.n_atoms, "parity": 0})
-    cfg.update(probe_omega_p=probe["omega_p"], probe_delta_p=probe["delta_p"],
-               x_probe=stark["x_probe"], delta_2=stark["delta_2"],
-               pattern_n=pattern["n_atoms"], pattern_parity=pattern["parity"],
-               t_final=_section(raw, "evolve", {"t_final": 10.0})["t_final"])
-    if mode == "stark" and cfg["delta_2"] == 0:
-        raise ConfigError("stark.delta_2 must be nonzero")
-    if mode == "collective":
-        try:
-            PatternSpec(cfg["pattern_n"], cfg["pattern_parity"])
-        except ValueError as exc:
-            raise ConfigError(f"invalid pattern: {exc}") from None
-    if cfg["t_final"] < 0:
-        raise ConfigError("evolve.t_final must be >= 0")
+    cfg.update(_settings(raw, base), params=base)
+    _check_point(cfg)
 
     for which in ("sweep", "sweep2"):
         cfg[which] = (_parse_sweep(raw[which], mode, which, base.n_atoms)
                       if raw.get(which) is not None else None)
     if cfg["sweep2"] is not None and cfg["sweep"] is None:
         raise ConfigError("sweep2 requires sweep")
+    sweeps = [s for s in (cfg["sweep"], cfg["sweep2"]) if s]
+    cfg["grid"] = _grid(cfg, [(s["param"], [float(v) for v in _sweep_values(s)])
+                              for s in sweeps])
     return cfg
+
+
+def _settings(raw: dict, params: SystemParams) -> dict:
+    """Mode settings from raw's optional sections, or their defaults."""
+    probe = _section(raw, "probe", {"omega_p": 1e-3, "delta_p": 0.0})
+    stark = _section(raw, "stark", {"x_probe": 0.25, "delta_2": 1000.0})
+    pattern = _section(raw, "pattern", {"n_atoms": params.n_atoms, "parity": 0})
+    return dict(probe_omega_p=probe["omega_p"], probe_delta_p=probe["delta_p"],
+                x_probe=stark["x_probe"], delta_2=stark["delta_2"],
+                pattern_n=pattern["n_atoms"], pattern_parity=pattern["parity"],
+                t_final=_section(raw, "evolve", {"t_final": 10.0})["t_final"])
+
+
+def _check_point(point: dict) -> None:
+    """The rules every point config obeys, base and swept values alike."""
+    if point["mode"] == "stark" and point["delta_2"] == 0:
+        raise ConfigError("stark.delta_2 must be nonzero")
+    if point["mode"] == "collective":
+        try:
+            PatternSpec(point["pattern_n"], point["pattern_parity"])
+        except ValueError as exc:
+            raise ConfigError(f"invalid pattern: {exc}") from None
+    if point["t_final"] < 0:
+        raise ConfigError("evolve.t_final must be >= 0")
 
 
 def _sweep_values(swp: dict) -> np.ndarray:
     if swp["scale"] == "log":
         return np.geomspace(swp["start"], swp["stop"], swp["points"])
     return np.linspace(swp["start"], swp["stop"], swp["points"])
+
+
+def _grid(cfg: dict, axes: list) -> list[tuple[dict, dict]]:
+    """(assignments, point config) per point of the product of the axes.
+
+    Every point passes the checks the base values pass; a swept value
+    that fails one is a ConfigError naming it.
+    """
+    names = [name for name, _ in axes]
+    grid = []
+    for values in itertools.product(*(values for _, values in axes)):
+        assignments = dict(zip(names, values))
+        try:
+            point = _apply(cfg, assignments)
+            _check_point(point)
+        except ValueError as exc:  # includes ConfigError
+            raise ConfigError(f"sweep point {assignments}: {exc}") from None
+        grid.append((assignments, point))
+    return grid
 
 
 # --------------------------------------------------------------- running ---
@@ -261,48 +293,61 @@ _OBS_COLUMNS = ["i_at", "i_cav", "mean_n", "re_alpha", "im_alpha", "g2",
                 "n_max", "residual"]
 
 
-def _obs_row(obs, n_max, residual) -> list:
-    return [obs.i_at_total, obs.i_cav, obs.mean_n, obs.alpha.real,
-            obs.alpha.imag, obs.g2_zero if obs.g2_zero is not None else NAN,
-            n_max, residual]
+def _obs_quantities(obs, n_max, residual) -> dict:
+    quantities = {
+        "i_at": obs.i_at_total, "i_cav": obs.i_cav, "mean_n": obs.mean_n,
+        "re_alpha": obs.alpha.real, "im_alpha": obs.alpha.imag,
+        "g2": obs.g2_zero if obs.g2_zero is not None else NAN,
+        "n_max": n_max, "residual": residual,
+        "ratio": obs.i_cav / obs.i_at_total if obs.i_at_total else NAN}
+    for n, pi_e in enumerate(obs.pi_e_per_atom, start=1):
+        quantities[f"pi_e_{n}"] = pi_e
+    return quantities
 
 
-def _echo_columns(point: dict) -> tuple[list[str], list]:
+def _echo(point: dict) -> dict:
     p = point["params"]
-    cols = ["p_g0", "p_omega", "p_kappa", "p_delta", "p_delta_c", "p_theta",
-            "p_gamma", "p_positions"]
-    vals = [p.g0, p.omega, p.kappa, p.delta, p.delta_c, p.theta, p.gamma,
-            ";".join(_fmt_float(x) for x in p.positions)]
-    return cols, vals
+    return {"p_g0": p.g0, "p_omega": p.omega, "p_kappa": p.kappa,
+            "p_delta": p.delta, "p_delta_c": p.delta_c, "p_theta": p.theta,
+            "p_gamma": p.gamma,
+            "p_positions": ";".join(_fmt_float(x) for x in p.positions)}
 
 
-def _run_point(point: dict) -> list:
+@functools.lru_cache(maxsize=256)
+def _steady_alpha(params: SystemParams) -> complex:
+    """<a> in the steady state; a stark sweep solves each system once."""
+    sol = solve_steady(params)
+    return observables(sol.rho, params).alpha
+
+
+def _run_point(point: dict) -> dict:
+    """The named quantities of one point config in its mode."""
     mode = point["mode"]
     params = point["params"]
     if mode == "steady":
         sol = solve_steady(params, n_max=point["n_max"])
         obs = observables(sol.rho, params)
-        return _obs_row(obs, sol.n_max, sol.residual)
+        return _obs_quantities(obs, sol.n_max, sol.residual)
     if mode == "evolve":
         space = build_space(params, point["n_max"])
         l = build_liouvillian(params, space)
         rho = evolve(ground_state(space), l, point["t_final"])
         obs = observables(rho, params)
-        return _obs_row(obs, space.n_max, NAN)
+        return _obs_quantities(obs, space.n_max, NAN)
     if mode == "spectrum":
         probe = ProbeParams(omega_p_tilde=point["probe_omega_p"])
-        return [excitation_spectrum(point["probe_delta_p"], params, probe)]
+        return {"w": excitation_spectrum(point["probe_delta_p"], params,
+                                         probe)}
     if mode == "stark":
-        return [probe_stark_shift(point["x_probe"], point["delta_2"],
-                                  params)]
-    if mode == "collective":
-        pattern = PatternSpec(point["pattern_n"], point["pattern_parity"])
-        alpha = in_phase_alpha(pattern, params)
-        pi_e = excited_population(pattern, params)
-        return [alpha.real, alpha.imag, abs(alpha) ** 2,
-                params.kappa * abs(alpha) ** 2,
-                pattern.n_atoms * params.gamma * pi_e, pi_e]
-    raise ConfigError(f"mode '{mode}' cannot run directly")
+        return {"shift": probe_stark_shift(point["x_probe"], point["delta_2"],
+                                           params, _steady_alpha(params))}
+    # collective
+    pattern = PatternSpec(point["pattern_n"], point["pattern_parity"])
+    alpha = in_phase_alpha(pattern, params)
+    pi_e = excited_population(pattern, params)
+    return {"re_alpha": alpha.real, "im_alpha": alpha.imag,
+            "mean_n": abs(alpha) ** 2, "i_cav": params.kappa * abs(alpha) ** 2,
+            "i_at": pattern.n_atoms * params.gamma * pi_e, "pi_e": pi_e}
 
 
 _MODE_COLUMNS = {
@@ -333,71 +378,81 @@ def _map_ordered(fn, items, n_workers: int) -> list:
         return list(ex.map(fn, items))
 
 
+@dataclass
+class SweepResult:
+    """Table produced by a sweep: column names, rows, and run metadata."""
+
+    columns: list[str]
+    rows: list[tuple]
+    metadata: dict = field(default_factory=dict)
+    n_failed: int = 0
+
+
+def _sweep(grid: list, sources: list, n_workers: int | None,
+           diagonal: tuple = ()) -> tuple[list[tuple], int]:
+    """The one sweep runner: (rows in grid order, number of failed rows).
+
+    Each source names an axis, an echo column, "ok", or a quantity of the
+    mode, which may come as (quantity, overrides) to re-solve the point
+    with those parameter values.  A point that raises keeps its axis and
+    echo values, gets nan quantities and ok=0.  A point whose `diagonal`
+    axes are all equal gets nan quantities without a solve and counts as ok.
+    """
+    named = [(src, ()) if isinstance(src, str)
+             else (src[0], tuple(src[1].items())) for src in sources]
+
+    def row(item) -> tuple[tuple, int]:
+        assignments, point = item
+        known = dict(assignments, **_echo(point), ok=1)
+        on_diagonal = len({assignments[a] for a in diagonal}) == 1
+        solves = () if on_diagonal else dict.fromkeys(
+            over for name, over in named if name not in known)
+        try:
+            solved = {over: _run_point(_apply(point, dict(over)))
+                      for over in solves}
+        except RegimeWarning:
+            raise
+        except Exception:
+            solved, known["ok"] = {}, 0
+        return tuple(known[name] if name in known
+                     else solved.get(over, {}).get(name, NAN)
+                     for name, over in named), known["ok"]
+
+    results = _map_ordered(row, grid, resolve_workers(n_workers))
+    return [r for r, _ in results], sum(1 for _, ok in results if not ok)
+
+
 def run_config(cfg: dict, n_workers: int | None = None) -> SweepResult:
     """Evaluate a parsed config; rows in grid order, failures marked nan."""
     if cfg["mode"] == "figure":
         return run_figure(cfg["figure"], points=cfg.get("points"),
                           n_workers=n_workers or cfg["n_workers"])
-
-    sweeps = [s for s in (cfg["sweep"], cfg["sweep2"]) if s is not None]
-    axes = [(_sweep_values(s), s["param"]) for s in sweeps]
-    if not axes:
-        grid = [{}]
-    elif len(axes) == 1:
-        vals, name = axes[0]
-        grid = [{name: float(v)} for v in vals]
-    else:
-        (v1, n1), (v2, n2) = axes
-        grid = [{n1: float(a), n2: float(b)} for a in v1 for b in v2]
-
-    axis_names = [name for _, name in axes]
-    echo_cols, _ = _echo_columns(cfg)
-    columns = axis_names + _MODE_COLUMNS[cfg["mode"]] + echo_cols + ["ok"]
-
-    def one(assignments: dict) -> tuple:
-        point = _apply(cfg, assignments)
-        axis_vals = [assignments[name] for name in axis_names]
-        _, echo = _echo_columns(point)
-        try:
-            body = _run_point(point)
-            return tuple(axis_vals + body + echo + [1])
-        except (ConfigError, RegimeWarning):
-            raise
-        except Exception:
-            pad = [NAN] * len(_MODE_COLUMNS[cfg["mode"]])
-            return tuple(axis_vals + pad + echo + [0])
-
-    rows = _map_ordered(one, grid, resolve_workers(n_workers
-                                                   or cfg["n_workers"]))
-    meta = {"mode": cfg["mode"], "grid_size": len(grid), "seed": cfg["seed"]}
-    failed = sum(1 for r in rows if r[-1] == 0)
+    axes = [s["param"] for s in (cfg["sweep"], cfg["sweep2"]) if s]
+    columns = axes + _MODE_COLUMNS[cfg["mode"]] + list(_echo(cfg)) + ["ok"]
+    rows, failed = _sweep(cfg["grid"], columns, n_workers or cfg["n_workers"])
+    meta = {"mode": cfg["mode"], "grid_size": len(rows)}
     return SweepResult(columns=columns, rows=rows, metadata=meta,
+                       n_failed=failed)
+
+
+def _run_preset(preset: Preset, points: int | None,
+                n_workers: int | None, **metadata) -> SweepResult:
+    cfg = dict(mode=preset.mode, params=preset.params, n_max=None,
+               **_settings({}, preset.params))
+    grid = _grid(cfg, [(name, values(points)) for name, values in preset.axes])
+    rows, failed = _sweep(grid, list(preset.columns.values()), n_workers,
+                          preset.diagonal)
+    meta = dict(preset.metadata, **metadata, grid_size=len(grid))
+    return SweepResult(columns=list(preset.columns), rows=rows, metadata=meta,
                        n_failed=failed)
 
 
 def run_figure(name: str, points: int | None = None,
                n_workers: int | None = None) -> SweepResult:
-    try:
-        preset, grid = build_preset(name, points)
-    except KeyError:
+    if name not in PRESETS:
         raise ConfigError(
-            f"unknown figure '{name}' (known: {preset_names()})") from None
-
-    def one(item):
-        try:
-            return preset.point(item), True
-        except RegimeWarning:
-            raise
-        except Exception:
-            head = item if isinstance(item, tuple) else (item,)
-            pad = (NAN,) * (len(preset.columns) - len(head))
-            return tuple(head) + pad, False
-
-    results = _map_ordered(one, grid, resolve_workers(n_workers))
-    rows = [row for row, _ in results]
-    meta = dict(preset.metadata, figure=name, grid_size=len(grid))
-    return SweepResult(columns=preset.columns, rows=rows, metadata=meta,
-                       n_failed=sum(1 for _, ok in results if not ok))
+            f"unknown figure '{name}' (known: {preset_names()})")
+    return _run_preset(PRESETS[name], points, n_workers, figure=name)
 
 
 # --------------------------------------------------------------- writing ---

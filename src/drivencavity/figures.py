@@ -1,255 +1,158 @@
 """Preset parameter sweeps producing plot-ready tables.
 
-Each preset pins the physics parameters and exposes the grid as a list of
-independent points, so the runner can evaluate them concurrently.  Column
-layouts are fixed per preset; complex quantities are split into re_/im_
-columns by the writer.
+Each preset is a named config: a mode, base parameters, ordered axes whose
+values depend on the grid size, and a column map.  The column map sends
+each header to an axis or to a quantity of the mode; a quantity may take
+parameter overrides, ``("mean_n", {"g0": 10.0})``, which re-solve the point
+with those values.  ``cli`` runs presets through the same sweep runner as
+config files.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .collective import PatternSpec, excited_population, in_phase_alpha
-from .dynamics import observables, solve_steady
 from .model import SystemParams
-from .spectrum import ProbeParams, excitation_spectrum, probe_stark_shift
 
 LINEAR_POINTS = 201
 LOG_POINTS = 61
 GRID_2D_POINTS = 101
 
-NAN = float("nan")
 
-
-@dataclass
-class SweepResult:
-    """Table produced by a sweep: column names, rows, and run metadata."""
-
-    columns: list[str]
-    rows: list[tuple]
-    metadata: dict = field(default_factory=dict)
-    n_failed: int = 0
-
-
-@dataclass
+@dataclass(frozen=True)
 class Preset:
-    name: str
-    columns: list[str]
-    grid: Callable[[int | None], list]
-    point: Callable[[object], tuple]
+    """A named config.
+
+    axes are (name, values) pairs, values(points) giving the axis grid for
+    a requested size (None for the preset's default); rows follow their
+    product in order.  Rows whose `diagonal` axes all hold the same value
+    are written as nan without a solve.
+    """
+
+    mode: str
+    params: SystemParams
+    axes: tuple[tuple[str, Callable[[int | None], list]], ...]
+    columns: dict[str, str | tuple[str, dict]]
     metadata: dict
+    diagonal: tuple[str, ...] = ()
 
 
-def _single_atom(g0, omega, kappa, delta=0.0, delta_c=0.0) -> SystemParams:
+def _one_atom(g0, omega, kappa, delta=0.0, delta_c=0.0) -> SystemParams:
     return SystemParams(positions=(0.0,), g0=g0, omega=omega, kappa=kappa,
                         delta=delta, delta_c=delta_c)
 
 
-def _kappa_grid(points):
-    return list(np.linspace(0.01, 1.0, points or LINEAR_POINTS))
+def _fixed(*values):
+    return lambda points: list(values)
 
 
-def _unit_cell(points):
-    n = points or LINEAR_POINTS
-    return list(np.arange(n) / n)  # [0, 1) in wavelengths
+def _linspace(start, stop):
+    return lambda points: list(np.linspace(start, stop,
+                                           points or LINEAR_POINTS))
 
 
-def _emission_vs_kappa(g0: float):
-    def point(kappa):
-        params = _single_atom(g0, 1.0, kappa)
-        sol = solve_steady(params)
-        obs = observables(sol.rho, params)
-        return (kappa, obs.i_at_total, obs.i_cav)
-    return point
+def _unit_cell(default=LINEAR_POINTS):
+    def values(points):
+        n = points or default
+        return list(np.arange(n) / n)  # [0, 1) in wavelengths
+    return values
 
 
-def _photon_stats_point(kappa):
-    row = [kappa]
-    for g0 in (1.0, 10.0):
-        params = _single_atom(g0, 1.0, kappa)
-        sol = solve_steady(params)
-        obs = observables(sol.rho, params)
-        row += [obs.mean_n, obs.g2_zero if obs.g2_zero is not None else NAN]
-    return tuple(row)
+def _atom_numbers(n_top):
+    def values(points):
+        n = np.geomspace(1, n_top, points or LOG_POINTS)
+        return [int(v) for v in np.unique(np.rint(n))]
+    return values
 
 
-def _spectrum_preset(delta: float):
-    params = _single_atom(1.0, 1.0, 0.0, delta=delta)
-    probe = ProbeParams(omega_p_tilde=1e-3)
-
-    def point(delta_p):
-        return (delta_p, excitation_spectrum(delta_p, params, probe))
-    return point
+def _same(*names) -> dict:
+    return {name: name for name in names}
 
 
-def _stark_point(x_probe, cache={}):
-    row = [x_probe]
-    for kappa in (0.0, 1.0, 2.0):
-        params = _single_atom(1.0, 1.0, kappa)
-        if kappa not in cache:
-            sol = solve_steady(params)
-            cache[kappa] = observables(sol.rho, params).alpha
-        row.append(probe_stark_shift(x_probe, 1000.0, params,
-                                     alpha_ss=cache[kappa]))
-    return tuple(row)
+_KAPPA = ("kappa", _linspace(0.01, 1.0))
+_RESONANCE = (("kappa", _fixed(0.0, 0.01)),
+              ("delta_c", _linspace(-0.05, 0.05)))
+_FIG6 = dict(g0=10.0, omega=1.0, kappa=0.2, delta=100.0)
+_FIG7 = dict(g0=10.0, omega=1.0, kappa=0.01, delta=0.0)
+_FIG10 = dict(omega=1e-3, g0=1e-3, kappa=1e-3, delta=0.0)
+_FIG11 = dict(omega=10.0, g0=10.0, kappa=10.0, delta=-1000.0)
+_TWO_ATOM_COLUMNS = dict(x2="position[1]", **_same("mean_n", "pi_e_1",
+                                                   "pi_e_2"))
+_SCALING_COLUMNS = dict(n="n_atoms", **_same("i_cav", "i_at"))
 
-
-def _two_atom_point(x2, *, g0, omega, kappa, delta):
-    params = SystemParams(positions=(0.0, x2), g0=g0, omega=omega,
-                          kappa=kappa, delta=delta)
-    sol = solve_steady(params)
-    obs = observables(sol.rho, params)
-    return (x2, obs.mean_n, obs.pi_e_per_atom[0], obs.pi_e_per_atom[1])
-
-
-def _ratio_point(xy, *, g0, omega, kappa, delta):
-    x1, x2 = xy
-    if x1 == x2:
-        return (x1, x2, NAN)
-    params = SystemParams(positions=(x1, x2), g0=g0, omega=omega,
-                          kappa=kappa, delta=delta)
-    sol = solve_steady(params)
-    obs = observables(sol.rho, params)
-    if obs.i_at_total == 0:
-        return (x1, x2, NAN)
-    return (x1, x2, obs.i_cav / obs.i_at_total)
-
-
-def _grid_2d(points):
-    n = points or GRID_2D_POINTS
-    xs = np.arange(n) / n
-    return [(x1, x2) for x1 in xs for x2 in xs]
-
-
-def _field_resonance_point(key, *, omega=0.1, g0=0.1):
-    delta, kappa, delta_c = key
-    params = _single_atom(g0, omega, kappa, delta=delta, delta_c=delta_c)
-    pattern = PatternSpec(n_atoms=1)
-    alpha = in_phase_alpha(pattern, params)
-    pi_e = excited_population(pattern, params)
-    return (delta, kappa, delta_c, abs(alpha) ** 2, pi_e)
-
-
-def _resonance_grid(points, deltas=(0.0, 1.0)):
-    dc = np.linspace(-0.05, 0.05, points or LINEAR_POINTS)
-    return [(d, k, float(x)) for d in deltas for k in (0.0, 0.01) for x in dc]
-
-
-def _atom_number_grid(points, n_top):
-    n = np.geomspace(1, n_top, points or LOG_POINTS)
-    return [int(v) for v in np.unique(np.rint(n))]
-
-
-def _scaling_point(key, *, omega, g0, kappa, delta):
-    delta_c, n_atoms = key
-    params = _single_atom(g0, omega, kappa, delta=delta, delta_c=delta_c)
-    pattern = PatternSpec(n_atoms=n_atoms)
-    alpha = in_phase_alpha(pattern, params)
-    pi_e = excited_population(pattern, params)
-    return (delta_c, n_atoms, params.kappa * abs(alpha) ** 2,
-            n_atoms * params.gamma * pi_e)
-
-
-def _drop(row, k=1):
-    return row[k:]
-
-
-def _presets() -> dict[str, Preset]:
-    p: dict[str, Preset] = {}
-
-    for name, g0 in (("fig2a", 1.0), ("fig2b", 10.0)):
-        p[name] = Preset(
-            name=name, columns=["kappa", "i_at", "i_cav"],
-            grid=_kappa_grid, point=_emission_vs_kappa(g0),
-            metadata={"omega": 1.0, "g0": g0, "delta": 0.0, "delta_c": 0.0})
-
-    p["fig3"] = Preset(
-        name="fig3",
-        columns=["kappa", "mean_n_g1", "g2_g1", "mean_n_g10", "g2_g10"],
-        grid=_kappa_grid, point=_photon_stats_point,
-        metadata={"omega": 1.0, "g0": [1.0, 10.0]})
-
-    for name, delta in (("fig4a", 0.0), ("fig4b", -2.0)):
-        p[name] = Preset(
-            name=name, columns=["delta_p", "w"],
-            grid=lambda pts: list(np.linspace(-5.0, 5.0,
-                                              pts or LINEAR_POINTS)),
-            point=_spectrum_preset(delta),
-            metadata={"g0": 1.0, "delta": delta, "kappa": 0.0,
-                      "omega_p": 1e-3})
-
-    p["fig5"] = Preset(
-        name="fig5",
-        columns=["x_probe", "shift_kappa0", "shift_kappa1", "shift_kappa2"],
-        grid=_unit_cell, point=_stark_point,
-        metadata={"g0": 1.0, "omega": 1.0, "delta_2": 1000.0,
-                  "kappa": [0.0, 1.0, 2.0]})
-
-    for name, kw in (
-            ("fig6", dict(g0=10.0, omega=1.0, kappa=0.2, delta=100.0)),
-            ("fig7", dict(g0=10.0, omega=1.0, kappa=0.01, delta=0.0))):
-        p[name] = Preset(
-            name=name, columns=["x2", "mean_n", "pi_e_1", "pi_e_2"],
-            grid=_unit_cell,
-            point=(lambda x2, kw=kw: _two_atom_point(x2, **kw)),
-            metadata=dict(kw, x1=0.0, delta_c=0.0))
-
-    fig8_kw = dict(g0=10.0, omega=1.0, kappa=0.2, delta=100.0)
-    p["fig8"] = Preset(
-        name="fig8", columns=["x1", "x2", "ratio"],
-        grid=_grid_2d,
-        point=lambda xy: _ratio_point(xy, **fig8_kw),
-        metadata=dict(fig8_kw, delta_c=0.0, note="diagonal x1=x2 excluded"))
-
-    p["fig9"] = Preset(
-        name="fig9",
-        columns=["delta", "kappa", "delta_c", "mean_n", "pi_e"],
-        grid=_resonance_grid, point=_field_resonance_point,
-        metadata={"omega": 0.1, "g0": 0.1, "n_atoms": 1})
-    for name, d in (("fig9a", 0.0), ("fig9b", 1.0)):
-        p[name] = Preset(
-            name=name, columns=["kappa", "delta_c", "mean_n", "pi_e"],
-            grid=lambda pts, d=d: _resonance_grid(pts, deltas=(d,)),
-            point=lambda key: _drop(_field_resonance_point(key)),
-            metadata={"omega": 0.1, "g0": 0.1, "delta": d, "n_atoms": 1})
-
-    fig10_kw = dict(omega=1e-3, g0=1e-3, kappa=1e-3, delta=0.0)
-    p["fig10"] = Preset(
-        name="fig10", columns=["n", "i_cav", "i_at"],
-        grid=lambda pts: [(0.0, n) for n in _atom_number_grid(pts, 1e5)],
-        point=lambda key: _drop(_scaling_point(key, **fig10_kw)),
-        metadata=dict(fig10_kw, delta_c=0.0))
-
-    fig11_kw = dict(omega=10.0, g0=10.0, kappa=10.0, delta=-1000.0)
-    p["fig11"] = Preset(
-        name="fig11", columns=["delta_c", "n", "i_cav", "i_at"],
-        grid=lambda pts: [(dc, n) for dc in (0.0, -5.0)
-                          for n in _atom_number_grid(pts, 1e4)],
-        point=lambda key: _scaling_point(key, **fig11_kw),
-        metadata=dict(fig11_kw))
-    for name, dc in (("fig11a", 0.0), ("fig11b", -5.0)):
-        p[name] = Preset(
-            name=name, columns=["n", "i_cav", "i_at"],
-            grid=lambda pts, dc=dc: [(dc, n)
-                                     for n in _atom_number_grid(pts, 1e4)],
-            point=lambda key: _drop(_scaling_point(key, **fig11_kw)),
-            metadata=dict(fig11_kw, delta_c=dc))
-
-    return p
-
-
-PRESETS = _presets()
+PRESETS: dict[str, Preset] = {
+    **{name: Preset(
+        "steady", _one_atom(g0, 1.0, 0.0), (_KAPPA,),
+        _same("kappa", "i_at", "i_cav"),
+        {"omega": 1.0, "g0": g0, "delta": 0.0, "delta_c": 0.0})
+       for name, g0 in (("fig2a", 1.0), ("fig2b", 10.0))},
+    "fig3": Preset(
+        "steady", _one_atom(1.0, 1.0, 0.0), (_KAPPA,),
+        {"kappa": "kappa",
+         "mean_n_g1": ("mean_n", {"g0": 1.0}), "g2_g1": ("g2", {"g0": 1.0}),
+         "mean_n_g10": ("mean_n", {"g0": 10.0}),
+         "g2_g10": ("g2", {"g0": 10.0})},
+        {"omega": 1.0, "g0": [1.0, 10.0]}),
+    **{name: Preset(
+        "spectrum", _one_atom(1.0, 1.0, 0.0, delta=delta),
+        (("delta_p", _linspace(-5.0, 5.0)),), _same("delta_p", "w"),
+        {"g0": 1.0, "delta": delta, "kappa": 0.0, "omega_p": 1e-3})
+       for name, delta in (("fig4a", 0.0), ("fig4b", -2.0))},
+    "fig5": Preset(
+        "stark", _one_atom(1.0, 1.0, 0.0), (("x_probe", _unit_cell()),),
+        {"x_probe": "x_probe",
+         **{f"shift_kappa{k:g}": ("shift", {"kappa": k})
+            for k in (0.0, 1.0, 2.0)}},
+        {"g0": 1.0, "omega": 1.0, "delta_2": 1000.0,
+         "kappa": [0.0, 1.0, 2.0]}),
+    **{name: Preset(
+        "steady", SystemParams(positions=(0.0, 0.0), **kw),
+        (("position[1]", _unit_cell()),), _TWO_ATOM_COLUMNS,
+        dict(kw, x1=0.0, delta_c=0.0))
+       for name, kw in (("fig6", _FIG6), ("fig7", _FIG7))},
+    "fig8": Preset(
+        "steady", SystemParams(positions=(0.0, 0.0), **_FIG6),
+        (("position[0]", _unit_cell(GRID_2D_POINTS)),
+         ("position[1]", _unit_cell(GRID_2D_POINTS))),
+        dict(x1="position[0]", x2="position[1]", ratio="ratio"),
+        dict(_FIG6, delta_c=0.0, note="diagonal x1=x2 excluded"),
+        diagonal=("position[0]", "position[1]")),
+    "fig9": Preset(
+        "collective", _one_atom(0.1, 0.1, 0.0),
+        (("delta", _fixed(0.0, 1.0)),) + _RESONANCE,
+        _same("delta", "kappa", "delta_c", "mean_n", "pi_e"),
+        {"omega": 0.1, "g0": 0.1, "n_atoms": 1}),
+    **{name: Preset(
+        "collective", _one_atom(0.1, 0.1, 0.0, delta=d), _RESONANCE,
+        _same("kappa", "delta_c", "mean_n", "pi_e"),
+        {"omega": 0.1, "g0": 0.1, "delta": d, "n_atoms": 1})
+       for name, d in (("fig9a", 0.0), ("fig9b", 1.0))},
+    "fig10": Preset(
+        "collective", _one_atom(**_FIG10),
+        (("n_atoms", _atom_numbers(1e5)),), _SCALING_COLUMNS,
+        dict(_FIG10, delta_c=0.0)),
+    "fig11": Preset(
+        "collective", _one_atom(**_FIG11),
+        (("delta_c", _fixed(0.0, -5.0)), ("n_atoms", _atom_numbers(1e4))),
+        dict(delta_c="delta_c", **_SCALING_COLUMNS), dict(_FIG11)),
+    **{name: Preset(
+        "collective", _one_atom(**_FIG11, delta_c=dc),
+        (("n_atoms", _atom_numbers(1e4)),), _SCALING_COLUMNS,
+        dict(_FIG11, delta_c=dc))
+       for name, dc in (("fig11a", 0.0), ("fig11b", -5.0))},
+}
 
 
 def preset_names() -> list[str]:
     return sorted(PRESETS)
 
 
-def build_preset(name: str, points: int | None = None):
-    """Return (preset, grid) or raise KeyError for unknown names."""
-    preset = PRESETS[name]
-    return preset, preset.grid(points)
+def _stark_point(x_probe):
+    """fig5's row at one probe position (bench/workloads.py warms up on it)."""
+    from .cli import _run_preset  # cli imports this module
+
+    fig5 = replace(PRESETS["fig5"], axes=(("x_probe", _fixed(x_probe)),))
+    return _run_preset(fig5, None, 1).rows[0]

@@ -1,10 +1,13 @@
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from drivencavity import cli, dynamics
 from drivencavity.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -38,9 +41,10 @@ def test_validate_accepts_good_config(tmp_path, capsys):
 
 
 def test_unknown_top_level_key_rejected(tmp_path):
-    cfg = _write_cfg(tmp_path, {
-        "mode": "steady", "params": BASE_PARAMS, "bogus": 1})
-    assert main(["validate", cfg]) == EXIT_CONFIG
+    for extra in ({"bogus": 1}, {"seed": 0}):
+        cfg = _write_cfg(tmp_path, dict(
+            {"mode": "steady", "params": BASE_PARAMS}, **extra))
+        assert main(["validate", cfg]) == EXIT_CONFIG
 
 
 def test_unknown_param_key_rejected(tmp_path):
@@ -80,6 +84,14 @@ def test_sweep_validation(tmp_path, sweep):
     {"output": 5},
     {"sweep": {"param": "position[1]", "start": 0.0, "stop": 0.5,
                "points": 3}},
+    # swept values obey the rules of base values
+    {"sweep": {"param": "kappa", "start": -0.2, "stop": 0.2, "points": 5}},
+    {"mode": "collective",
+     "sweep": {"param": "n_atoms", "start": 0.1, "stop": 10.0, "points": 5}},
+    {"mode": "stark",
+     "sweep": {"param": "delta_2", "start": -1.0, "stop": 1.0, "points": 3}},
+    {"mode": "evolve",
+     "sweep": {"param": "t_final", "start": -1.0, "stop": 1.0, "points": 3}},
 ])
 def test_malformed_field_is_config_error(tmp_path, overrides):
     cfg = _write_cfg(tmp_path, dict({
@@ -180,6 +192,67 @@ def test_figure_fig11b_parameters():
     assert result.metadata["delta_c"] == -5.0
     assert result.metadata["delta"] == -1000.0
     assert result.metadata["kappa"] == 10.0
+
+
+def test_failed_preset_rows_keep_axis_columns(monkeypatch):
+    good = {name: run_figure(name, points=5) for name in ("fig10", "fig9a")}
+    real = cli.in_phase_alpha
+
+    def fails_for_some(pattern, params):
+        if pattern.n_atoms > 100 or params.kappa == 0.01:
+            raise RuntimeError("forced failure")
+        return real(pattern, params)
+
+    monkeypatch.setattr(cli, "in_phase_alpha", fails_for_some)
+    for name, n_axes in (("fig10", 1), ("fig9a", 2)):
+        result = run_figure(name, points=5)
+        assert result.columns == good[name].columns
+        failed = 0
+        for row, good_row in zip(result.rows, good[name].rows, strict=True):
+            assert row[:n_axes] == good_row[:n_axes]
+            assert ([type(v) for v in row[:n_axes]]
+                    == [type(v) for v in good_row[:n_axes]])
+            if all(math.isnan(v) for v in row[n_axes:]):
+                failed += 1
+            else:
+                assert row == good_row
+        assert 0 < failed == result.n_failed < len(result.rows)
+
+
+PINNED_PRESETS = json.loads(
+    (Path(__file__).parent / "data" / "presets_points3.json").read_text())
+
+
+def test_preset_tables_pinned():
+    assert sorted(PINNED_PRESETS) == preset_names()
+    for name, (header, *lines) in PINNED_PRESETS.items():
+        result = run_figure(name, points=3)
+        assert result.columns == header.split(","), name
+        expected = [[float(cell) for cell in line.split(",")]
+                    for line in lines]
+        # atol covers values at rounding level, e.g. fig5's zero shift
+        np.testing.assert_allclose(np.array(result.rows, dtype=float),
+                                   expected, rtol=1e-9, atol=1e-12,
+                                   equal_nan=True, err_msg=name)
+
+
+def test_stark_sweep_solves_steady_state_once(tmp_path, monkeypatch):
+    calls = []
+    real = dynamics.steady_state
+
+    def counted(l):
+        calls.append(l)
+        return real(l)
+
+    monkeypatch.setattr(dynamics, "steady_state", counted)
+    cli._steady_alpha.cache_clear()
+    cfg = load_config(_write_cfg(tmp_path, {
+        "mode": "stark", "params": dict(BASE_PARAMS, g0=1.0, kappa=1.0),
+        "sweep": {"param": "x_probe", "start": 0.0, "stop": 0.9,
+                  "points": 10}}))
+    result = run_config(cfg)
+    assert result.n_failed == 0 and len(result.rows) == 10
+    assert len(calls) == 1
 
 
 def test_figure_preset_determinism_and_workers(tmp_path):
