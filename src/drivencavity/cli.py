@@ -248,7 +248,9 @@ def _grid(cfg: dict, axes: list) -> list[tuple[dict, dict]]:
     names = [name for name, _ in axes]
     grid = []
     for values in itertools.product(*(values for _, values in axes)):
-        assignments = dict(zip(names, values))
+        # a pattern holds a whole number of atoms; its row names that number
+        assignments = {name: int(round(value)) if name == "n_atoms" else value
+                       for name, value in zip(names, values)}
         try:
             point = _apply(cfg, assignments)
             _check_point(point)
@@ -281,7 +283,7 @@ def _apply(cfg: dict, assignments: dict) -> dict:
         elif name == "delta_2":
             point["delta_2"] = value
         elif name == "n_atoms":
-            point["pattern_n"] = int(round(value))
+            point["pattern_n"] = value
         else:
             fields[name] = value
     fields["positions"] = tuple(fields["positions"])
@@ -529,6 +531,8 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings():
             if strict:
                 warnings.simplefilter("error", RegimeWarning)
+            for flag in ("points", "workers"):
+                _count_or_none(getattr(args, flag, None), f"--{flag}")
             if args.command == "validate":
                 load_config(args.config)
                 print(f"{args.config}: ok")

@@ -87,11 +87,14 @@ class CouplingProfile:
 class Superoperator:
     """Vectorized Lindblad generator: d vec(rho)/dt = matrix @ vec(rho).
 
-    Row-major vectorization, vec(rho) = rho.reshape(-1).
+    Row-major vectorization, vec(rho) = rho.reshape(-1).  h_eff is the
+    effective Hamiltonian H - (i/2) sum_k rate_k c_k^dag c_k, so the generator
+    is rho -> -i(h_eff rho - rho h_eff^dag) + sum_k rate_k c_k rho c_k^dag.
     """
 
     space: SpaceDescriptor
     matrix: sp.csr_matrix = field(repr=False)
+    h_eff: np.ndarray = field(repr=False)
 
 
 def coupling_profile(params: SystemParams) -> CouplingProfile:
@@ -129,29 +132,23 @@ def build_hamiltonian(params: SystemParams, space: SpaceDescriptor) -> Operator:
     return Operator(space, h)
 
 
-def _dissipator(c: sp.spmatrix, rate: float, dim: int) -> sp.csr_matrix:
-    """(rate/2)(2 c rho c^dag - c^dag c rho - rho c^dag c), row-major vec."""
-    cd = c.conj().T
-    cdc = (cd @ c).tocsr()
-    eye = sp.identity(dim, dtype=complex, format="csr")
-    out = 2 * sp.kron(c, c.conj(), format="csr")
-    out = out - sp.kron(cdc, eye, format="csr") - sp.kron(eye, cdc.T, format="csr")
-    return (0.5 * rate) * out
-
-
 def build_liouvillian(params: SystemParams, space: SpaceDescriptor) -> Superoperator:
     """Full Lindblad generator: Hamiltonian, atomic decay, cavity decay."""
-    h = sp.csr_matrix(build_hamiltonian(params, space).entries)
-    dim = space.dim
-    eye = sp.identity(dim, dtype=complex, format="csr")
-    lmat = -1j * (sp.kron(h, eye, format="csr") - sp.kron(eye, h.T, format="csr"))
-    for n in range(params.n_atoms):
-        sig = sp.csr_matrix(atomic_lowering(space, n).entries)
-        lmat = lmat + _dissipator(sig, params.gamma, dim)
+    collapses = [(params.gamma, atomic_lowering(space, n).entries)
+                 for n in range(params.n_atoms)]
     if params.kappa != 0:
-        a = sp.csr_matrix(annihilation(space).entries)
-        lmat = lmat + _dissipator(a, params.kappa, dim)
-    return Superoperator(space=space, matrix=lmat.tocsr())
+        collapses.append((params.kappa, annihilation(space).entries))
+    h_eff = build_hamiltonian(params, space).entries.astype(complex)
+    for rate, c in collapses:
+        h_eff = h_eff - 0.5j * rate * (c.conj().T @ c)
+    h = sp.csr_matrix(h_eff)
+    eye = sp.identity(space.dim, dtype=complex, format="csr")
+    lmat = -1j * (sp.kron(h, eye, format="csr")
+                  - sp.kron(eye, h.conj(), format="csr"))
+    for rate, c in collapses:
+        c = sp.csr_matrix(c)
+        lmat = lmat + rate * sp.kron(c, c.conj(), format="csr")
+    return Superoperator(space=space, matrix=lmat.tocsr(), h_eff=h_eff)
 
 
 def apply_superoperator(l: Superoperator, rho: np.ndarray) -> np.ndarray:

@@ -171,6 +171,38 @@ def test_figure_fig2a_columns(tmp_path):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("argv", [
+    ["figure", "fig10", "--points", "-3"],
+    ["figure", "fig6", "--points", "0"],
+    ["figure", "fig2a", "--workers", "-2"],
+    ["run", "CONFIG", "--workers", "0"],
+], ids=["fig10-points-3", "fig6-points0", "fig2a-workers-2", "run-workers0"])
+def test_bad_count_flag_is_config_error(tmp_path, argv):
+    cfg = _write_cfg(tmp_path, {
+        "mode": "steady", "params": BASE_PARAMS,
+        "output": {"path": str(tmp_path / "o.csv")}})
+    argv = [cfg if a == "CONFIG" else a for a in argv]
+    if argv[0] == "figure":
+        argv += ["--out", str(tmp_path)]
+    assert main(argv) == EXIT_CONFIG
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_swept_atom_number_column_is_the_solved_integer(tmp_path):
+    cfg = load_config(_write_cfg(tmp_path, {
+        "mode": "collective",
+        "params": {"positions": [0.0], "g0": 0.1, "omega": 0.1,
+                   "kappa": 1.0},
+        "sweep": {"param": "n_atoms", "start": 1, "stop": 1000, "points": 7,
+                  "scale": "log"}}))
+    result = run_config(cfg)
+    rows = [dict(zip(result.columns, row)) for row in result.rows]
+    assert [r["n_atoms"] for r in rows] == [1, 3, 10, 32, 100, 316, 1000]
+    assert all(type(r["n_atoms"]) is int for r in rows)
+    for r in rows:
+        assert r["i_at"] == pytest.approx(r["n_atoms"] * r["pi_e"], rel=1e-12)
+
+
 def test_figure_fig9a_columns(tmp_path):
     result = run_figure("fig9a", points=5)
     assert "delta_c" in result.columns and "mean_n" in result.columns

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from drivencavity import dynamics
 from drivencavity.dynamics import (
     DegenerateSteadyStateError,
+    TruncationEscalationError,
     evolve,
     ground_state,
     observables,
@@ -22,6 +26,7 @@ from drivencavity.operators import (
     basis_state,
     coherent_state,
     fidelity_with_pure,
+    fock_populations,
     trace_distance,
 )
 
@@ -59,21 +64,23 @@ def test_emission_ratio_tracks_cooperativity():
     assert (2 * c1 - 1) / 2 < ratio < (2 * c1 - 1) * 2
 
 
-@pytest.mark.parametrize("omega, g0, kappa, n_max", [
+@pytest.mark.parametrize("n_atoms, omega, g0, kappa, n_max", [
     # no drive, no coupling, no cavity decay: every Fock diagonal is a
     # fixed point, so the null space is multi-dimensional; the LU
     # factorization fails outright, with a different error at each size
-    (0.0, 0.0, 0.0, 2),
-    (0.0, 0.0, 0.0, 20),
+    (1, 0.0, 0.0, 0.0, 2),
+    (1, 0.0, 0.0, 0.0, 20),
     # near-degenerate: the factorization succeeds, the condition
     # estimate of the trace-row matrix exceeds the limit
-    (1.0, 1e-8, 0.0, 6),
-    (1.0, 0.0, 1e-12, 6),
-    (1.0, 1e-6, 0.0, 6),
+    (1, 1.0, 1e-8, 0.0, 6),
+    (1, 1.0, 0.0, 1e-12, 6),
+    (1, 1.0, 1e-6, 0.0, 6),
+    # above the LU crossover: GMRES cannot solve the trace-row matrix
+    (3, 0.0, 0.0, 0.0, 11),
 ], ids=["uncoupled-n_max2", "uncoupled-n_max20", "g0_1e-8", "kappa_1e-12",
-        "g0_1e-6"])
-def test_degenerate_steady_state_detected(omega, g0, kappa, n_max):
-    p = _params(omega=omega, g0=g0, kappa=kappa)
+        "g0_1e-6", "uncoupled-3atoms-n_max11"])
+def test_degenerate_steady_state_detected(n_atoms, omega, g0, kappa, n_max):
+    p = _params(positions=(0.0,) * n_atoms, omega=omega, g0=g0, kappa=kappa)
     l = build_liouvillian(p, build_space(p, n_max=n_max))
     with pytest.raises(DegenerateSteadyStateError):
         steady_state(l)
@@ -87,11 +94,65 @@ def test_weakly_coupled_steady_state_still_solves():
     assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-12)
 
 
+_FIG6 = dict(g0=10.0, omega=1.0, kappa=0.2, delta=100.0)
+_FIG7 = dict(g0=10.0, omega=1.0, kappa=0.01)
+
+
+@pytest.mark.parametrize("positions, system, n_max", [
+    # near-dark three-atom point: <n> ~ 2e-8 and g2 ~ 2e7
+    ((0.0, 1 / 3, 1 / 3), _FIG6, None),
+    # fig7 near lambda/2, its last escalation step
+    ((0.0, 100 / 201), _FIG7, 39),
+], ids=["3atoms-near-dark", "fig7-n_max39"])
+def test_krylov_steady_state_matches_lu(positions, system, n_max, monkeypatch):
+    p = _params(positions=positions, **system)
+    l = build_liouvillian(p, build_space(p, n_max))
+    real_gmres, gmres_calls = dynamics._gmres, []
+
+    def counted(*args, **kwargs):
+        gmres_calls.append(args)
+        return real_gmres(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_gmres", counted)
+    krylov = observables(steady_state(l), p)
+    assert gmres_calls
+    monkeypatch.setattr(dynamics, "KRYLOV_MIN_DIM", math.inf)
+    gmres_calls.clear()
+    lu = observables(steady_state(l), p)
+    assert not gmres_calls
+    for name in ("i_at_total", "i_cav", "mean_n", "g2_zero"):
+        assert getattr(krylov, name) == pytest.approx(getattr(lu, name),
+                                                      rel=1e-6), name
+
+
+def test_one_atom_stays_on_lu_above_crossover(monkeypatch):
+    # a strongly driven atom in a large Fock space: LU solves it, GMRES
+    # with this preconditioner stalls
+    p = _params(omega=3.0, g0=1.0, kappa=0.1)
+    l = build_liouvillian(p, build_space(p, n_max=79))
+    assert l.space.dim >= dynamics.KRYLOV_MIN_DIM
+    monkeypatch.setattr(dynamics, "_gmres", None)
+    rho = steady_state(l)
+    assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-12)
+
+
+def test_undriven_many_atom_steady_state_is_ground():
+    # the ground state is undamped in h_eff: the preconditioner has no
+    # inverse there, and GMRES must still find it
+    p = _params(positions=(0.0, 0.1, 0.2), omega=0.0, kappa=0.5)
+    space = build_space(p, n_max=10)
+    assert space.dim >= dynamics.KRYLOV_MIN_DIM
+    rho = steady_state(build_liouvillian(p, space))
+    ket = basis_state(space, "ggg", 0)
+    assert fidelity_with_pure(rho, ket) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_evolve_zero_generator_is_identity_map():
     p = _params()
     space = build_space(p, n_max=2)
     l = Superoperator(space=space,
-                      matrix=sp.csr_matrix((space.dim**2, space.dim**2)))
+                      matrix=sp.csr_matrix((space.dim**2, space.dim**2)),
+                      h_eff=np.zeros((space.dim, space.dim), dtype=complex))
     rho0 = DensityMatrix.pure(space, coherent_state(space, 0.4, atoms="g"))
     rho_t = evolve(rho0, l, 3.0)
     assert trace_distance(rho0, rho_t) < 1e-10
@@ -141,6 +202,17 @@ def test_emission_scaling_with_kappa():
     slope_cav = np.polyfit(np.log(kappas), np.log(i_cav), 1)[0]
     assert slope_at == pytest.approx(2.0, abs=0.1)
     assert slope_cav == pytest.approx(1.0, abs=0.1)
+
+
+def test_truncation_escalation_error_names_last_solve():
+    # n_max 2 -> 3 -> 5 -> 8, and the tail is still too heavy at 8
+    p = _params(omega=1.0, g0=1.0, kappa=0.1)
+    rho = steady_state(build_liouvillian(p, build_space(p, n_max=8)))
+    tail = fock_populations(rho)[-2:].sum()
+    assert tail > dynamics.TAIL_POPULATION_LIMIT
+    with pytest.raises(TruncationEscalationError) as info:
+        solve_steady(p, n_max=2)
+    assert f"Fock tail population {tail:.3e} at n_max=8 " in str(info.value)
 
 
 def test_truncation_escalation():
