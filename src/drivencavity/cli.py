@@ -51,6 +51,8 @@ _TOP_KEYS = {"mode", "params", "sweep", "sweep2", "output", "n_workers",
              "probe", "stark", "pattern", "evolve", "n_max", "figure",
              "points"}
 _MODES = {"steady", "evolve", "spectrum", "stark", "collective", "figure"}
+# a figure runs its preset; every other key would go unread
+_FIGURE_KEYS = {"mode", "figure", "output", "n_workers", "points"}
 
 # sweepable scalars, per mode
 _SWEEPABLE = {
@@ -73,14 +75,24 @@ def _require_keys(section: dict, allowed: set, where: str) -> None:
 
 
 def _number(value, where: str, kind=float):
-    """value as a finite float (or int); anything else is a ConfigError."""
+    """value as a finite float, or as an int when kind is int; a bool, or
+    a non-integer such as 2.5 or "3" for an int, is a ConfigError."""
+    what = "an integer" if kind is int else "a number"
+    if isinstance(value, bool) or (kind is int and type(value) is not int):
+        raise ConfigError(f"{where} must be {what}, got {value!r}")
     try:
-        number = kind(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+        raise ConfigError(f"{where} must be {what}, got {value!r}") from None
     if not math.isfinite(number):
         raise ConfigError(f"{where} must be finite, got {value!r}")
-    return number
+    return value if kind is int else number
+
+
+def _numbers(values, where: str) -> tuple[float, ...]:
+    if not isinstance(values, list):
+        raise ConfigError(f"{where} must be a list of numbers, got {values!r}")
+    return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(values))
 
 
 def _section(raw: dict, name: str, defaults: dict) -> dict:
@@ -165,6 +177,7 @@ def load_config(path: str) -> dict:
         raise ConfigError("output.format must be 'csv' or 'json'")
 
     if mode == "figure":
+        _require_keys(raw, _FIGURE_KEYS, "a figure config")
         name = raw.get("figure")
         if name not in preset_names():
             raise ConfigError(
@@ -176,25 +189,16 @@ def load_config(path: str) -> dict:
     if not isinstance(params_raw, dict):
         raise ConfigError("'params' object is required for this mode")
     _require_keys(params_raw, _PARAM_KEYS, "params")
+    fields = {"kappa": 0.0}
+    for key, value in params_raw.items():
+        if key not in ("positions", "omega_n"):
+            fields[key] = _number(value, f"params.{key}")
+        elif value is not None or key == "positions":
+            fields[key] = _numbers(value, f"params.{key}")
     try:
-        base = SystemParams(
-            positions=tuple(float(x) for x in params_raw["positions"]),
-            g0=float(params_raw["g0"]),
-            omega=float(params_raw["omega"]),
-            kappa=float(params_raw.get("kappa", 0.0)),
-            delta=float(params_raw.get("delta", 0.0)),
-            delta_c=float(params_raw.get("delta_c", 0.0)),
-            theta=float(params_raw.get("theta", math.pi / 2)),
-            gamma=float(params_raw.get("gamma", 1.0)),
-            omega_n=(tuple(float(x) for x in params_raw["omega_n"])
-                     if params_raw.get("omega_n") is not None else None),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        base = SystemParams(**fields)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid params: {exc}") from None
-    # omega_n may be None; every other field is a float or a tuple of them
-    bad = [k for k, v in vars(base).items() if not np.isfinite(v or 0.0).all()]
-    if bad:
-        raise ConfigError(f"params must be finite: {bad}")
     cfg.update(_settings(raw, base), params=base)
     _check_point(cfg)
 

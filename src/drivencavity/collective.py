@@ -97,14 +97,6 @@ def adiabatic_alpha(params: SystemParams,
         (eff.gamma_prime + params.kappa) / 2 - 1j * eff.delta_prime)
 
 
-def _pattern_params(pattern: PatternSpec, g0: float, omega: float,
-                    kappa: float, delta: float, delta_c: float,
-                    gamma: float) -> SystemParams:
-    return SystemParams(positions=tuple(pattern.positions()),
-                        g0=g0, omega=omega, kappa=kappa, delta=delta,
-                        delta_c=delta_c, gamma=gamma)
-
-
 def in_phase_alpha(pattern: PatternSpec, params: SystemParams) -> complex:
     """Cavity amplitude when all atoms scatter in phase (periodic pattern).
 
@@ -214,10 +206,10 @@ def restoring_coefficient(pattern: PatternSpec, params: SystemParams) -> float:
     """
     if params.g0 == 0:
         raise ValueError("g0 must be nonzero")
-    eff = effective_field_params(_pattern_params(
-        pattern, params.g0, params.omega, params.kappa, params.delta,
-        params.delta_c, params.gamma))
-    if abs(params.delta_c) > 0.5 * (eff.gamma_prime + params.kappa):
+    # the pattern's atom-induced field decay rate gamma' = N s gamma
+    s = params.g0 ** 2 / ((params.gamma / 2) ** 2 + params.delta ** 2)
+    gamma_prime = pattern.n_atoms * s * params.gamma
+    if abs(params.delta_c) > 0.5 * (gamma_prime + params.kappa):
         warnings.warn("|delta_c| is not small against the field linewidth; "
                       "the linearized force is unreliable",
                       RegimeWarning, stacklevel=2)

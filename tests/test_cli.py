@@ -92,6 +92,19 @@ def test_sweep_validation(tmp_path, sweep):
      "sweep": {"param": "delta_2", "start": -1.0, "stop": 1.0, "points": 3}},
     {"mode": "evolve",
      "sweep": {"param": "t_final", "start": -1.0, "stop": 1.0, "points": 3}},
+    # an integer field takes only an integer; no field takes a bool
+    {"sweep": {"param": "kappa", "start": 0.1, "stop": 1.0, "points": 2.5}},
+    {"sweep": {"param": "kappa", "start": 0.1, "stop": 1.0, "points": "3"}},
+    {"mode": "collective", "pattern": {"parity": 0.9}},
+    {"mode": "collective", "pattern": {"n_atoms": 2.5}},
+    {"n_workers": 2.7},
+    {"n_workers": True},
+    {"params": dict(BASE_PARAMS, g0=True)},
+    {"params": dict(BASE_PARAMS, positions=[0.0, float("nan")])},
+    {"params": dict(BASE_PARAMS, positions=[0.0, 0.5],
+                    omega_n=[1.0, float("inf")])},
+    # a figure config carries no keys its preset would ignore
+    {"mode": "figure", "figure": "fig2a"},
 ])
 def test_malformed_field_is_config_error(tmp_path, overrides):
     cfg = _write_cfg(tmp_path, dict({

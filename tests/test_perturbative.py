@@ -20,7 +20,6 @@ from drivencavity.operators import (
     trace_distance,
 )
 from drivencavity.perturbative import (
-    ExpPoly,
     biorthogonal_eigensystem,
     displaced_effective_hamiltonian,
     dressed_eigenvalues,
@@ -33,27 +32,6 @@ def _params(**kw):
     base = dict(positions=(0.0,), g0=10.0, omega=1.0, kappa=1e-3)
     base.update(kw)
     return SystemParams(**base)
-
-
-# ------------------------------------------------------------- ExpPoly ---
-
-def test_exppoly_integration():
-    # int_0^t e^{mu s} ds and int_0^t s ds against closed forms
-    mu = -0.3 + 1.1j
-    f = ExpPoly.term(1.0, mu, 0)
-    g = f.integrate()
-    t = 2.7
-    assert g(t) == pytest.approx((np.exp(mu * t) - 1) / mu)
-    h = ExpPoly.term(1.0, 0.0, 1).integrate()
-    assert h(t) == pytest.approx(t**2 / 2)
-
-
-def test_exppoly_product_and_conj():
-    f = ExpPoly.term(2.0, 1j, 1)
-    g = ExpPoly.term(0.5, -0.5j, 0)
-    t = 1.3
-    assert (f * g)(t) == pytest.approx(f(t) * g(t))
-    assert f.conj()(t) == pytest.approx(np.conj(f(t)))
 
 
 # ------------------------------------------- effective Hamiltonian -------
@@ -164,14 +142,19 @@ def test_expansion_trace_one():
         assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-6)
 
 
-def test_expansion_matches_exact_evolution():
-    p = _params(kappa=1e-3)
-    ps = perturbative_state(p, t=10.0, order=2)
+@pytest.mark.parametrize("g0, omega, t", [
+    (10.0, 1.0, 10.0),
+    # g0 = gamma/4: the one-excitation block of H0 is an exceptional point
+    (0.25, 0.05, 5.0),
+], ids=["g0_10", "exceptional_point"])
+def test_expansion_matches_exact_evolution(g0, omega, t):
+    p = _params(g0=g0, omega=omega, kappa=1e-3)
+    ps = perturbative_state(p, t=t, order=2)
     rho_p = ps.assemble(p.kappa)
     space = build_space(p, ps.space.n_max)
     l = build_liouvillian(p, space)
     ket = coherent_state(space, beta_profile(0.0, p), atoms="g")
-    rho_e = evolve(DensityMatrix.pure(space, ket), l, 10.0)
+    rho_e = evolve(DensityMatrix.pure(space, ket), l, t)
     assert trace_distance(rho_p, rho_e) < 1e-4
 
 
