@@ -51,7 +51,8 @@ _TOP_KEYS = {"mode", "params", "sweep", "sweep2", "output", "n_workers",
              "probe", "stark", "pattern", "evolve", "n_max", "figure",
              "points"}
 _MODES = {"steady", "evolve", "spectrum", "stark", "collective", "figure"}
-# a figure runs its preset; every other key would go unread
+# a figure runs its preset; every other key would go unread, as "figure"
+# and "points" would in the other modes
 _FIGURE_KEYS = {"mode", "figure", "output", "n_workers", "points"}
 
 # sweepable scalars, per mode
@@ -164,7 +165,6 @@ def load_config(path: str) -> dict:
         "mode": mode,
         "n_workers": _number(raw.get("n_workers", 1), "n_workers", int),
         "n_max": _count_or_none(raw.get("n_max"), "n_max"),
-        "points": _count_or_none(raw.get("points"), "points"),
     }
     if cfg["n_workers"] < 1:
         raise ConfigError("n_workers must be >= 1")
@@ -183,7 +183,9 @@ def load_config(path: str) -> dict:
             raise ConfigError(
                 f"unknown figure '{name}' (known: {preset_names()})")
         cfg["figure"] = name
+        cfg["points"] = _count_or_none(raw.get("points"), "points")
         return cfg
+    _require_keys(raw, _TOP_KEYS - {"figure", "points"}, f"a {mode} config")
 
     params_raw = raw.get("params")
     if not isinstance(params_raw, dict):
@@ -394,6 +396,52 @@ class SweepResult:
     n_failed: int = 0
 
 
+# to the symmetry fold, positions closer than this are equal, and a pump
+# with |cos theta| below it is perpendicular to the cavity axis
+_FOLD_TOL = 1e-12
+
+
+def _system_key(point: dict) -> tuple[tuple, tuple[int, ...]] | None:
+    """(key, atoms) of a steady point, or None in any other mode.
+
+    Two steady points get the same key when a map that leaves the steady
+    state unchanged takes one system onto the other:
+      - relabeling the atoms, when the pump is homogeneous;
+      - x -> -x (mod 1) on every position, when |cos theta| is zero to
+        rounding: g(x) is even and the pump phase is then zero everywhere.
+    atoms lists the point's atoms in the order of the key's positions, which
+    are matched on a grid of _FOLD_TOL.
+    """
+    if point["mode"] != "steady":
+        return None
+    params = point["params"]
+    images = [params.positions]
+    if abs(math.cos(params.theta)) < _FOLD_TOL:
+        images = [tuple(sign * x % 1.0 for x in params.positions)
+                  for sign in (1, -1)]
+    relabel = len(set(params.pump_amplitudes)) == 1
+    candidates = []
+    for positions in images:
+        cells = [round(x / _FOLD_TOL) for x in positions]
+        atoms = range(len(cells))
+        if relabel:
+            atoms = sorted(atoms, key=cells.__getitem__)
+        candidates.append((tuple(cells[n] for n in atoms), tuple(atoms)))
+    cells, atoms = min(candidates)
+    rest = tuple(v for k, v in vars(params).items() if k != "positions")
+    return (rest, point["n_max"], cells), atoms
+
+
+def _solve_or_none(point: dict) -> dict | None:
+    """_run_point's quantities, or None if it raises (a failed point)."""
+    try:
+        return _run_point(point)
+    except RegimeWarning:
+        raise
+    except Exception:
+        return None
+
+
 def _sweep(grid: list, sources: list, n_workers: int | None,
            diagonal: tuple = ()) -> tuple[list[tuple], int]:
     """The one sweep runner: (rows in grid order, number of failed rows).
@@ -403,35 +451,55 @@ def _sweep(grid: list, sources: list, n_workers: int | None,
     with those parameter values.  A point that raises keeps its axis and
     echo values, gets nan quantities and ok=0.  A point whose `diagonal`
     axes are all equal gets nan quantities without a solve and counts as ok.
+
+    A steady system that equals an earlier one up to a map of _system_key
+    is not solved again: it takes the earlier solve, with the pi_e columns
+    following the atoms, and fails when that solve fails.  The distinct
+    systems are solved in grid order.
     """
     named = [(src, ()) if isinstance(src, str)
              else (src[0], tuple(src[1].items())) for src in sources]
-
-    def row(item) -> tuple[tuple, int]:
-        assignments, point = item
+    systems, first = [], {}
+    plans = []  # per row: known values; per override, system index, renames
+    for assignments, point in grid:
         known = dict(assignments, **_echo(point), ok=1)
         on_diagonal = len({assignments[a] for a in diagonal}) == 1
-        solves = () if on_diagonal else dict.fromkeys(
-            over for name, over in named if name not in known)
-        try:
-            solved = {over: _run_point(_apply(point, dict(over)))
-                      for over in solves}
-        except RegimeWarning:
-            raise
-        except Exception:
-            solved, known["ok"] = {}, 0
-        return tuple(known[name] if name in known
-                     else solved.get(over, {}).get(name, NAN)
-                     for name, over in named), known["ok"]
+        plan = {}
+        for over in () if on_diagonal else dict.fromkeys(
+                over for name, over in named if name not in known):
+            system = _apply(point, dict(over))
+            key = _system_key(system)
+            if key is not None and key[0] in first:
+                index, first_atoms = first[key[0]]
+                renames = {f"pi_e_{m + 1}": f"pi_e_{n + 1}"
+                           for n, m in zip(key[1], first_atoms) if n != m}
+            else:
+                index, renames = len(systems), {}
+                systems.append(system)
+                if key is not None:
+                    first[key[0]] = (index, key[1])
+            plan[over] = (index, renames)
+        plans.append((known, plan))
 
-    results = _map_ordered(row, grid, resolve_workers(n_workers))
-    return [r for r, _ in results], sum(1 for _, ok in results if not ok)
+    solved = _map_ordered(_solve_or_none, systems, resolve_workers(n_workers))
+    rows, failed = [], 0
+    for known, plan in plans:
+        if any(solved[index] is None for index, _ in plan.values()):
+            plan, known["ok"] = {}, 0
+            failed += 1
+        values = {over: {renames.get(name, name): v
+                         for name, v in solved[index].items()}
+                  for over, (index, renames) in plan.items()}
+        rows.append(tuple(known[name] if name in known
+                          else values.get(over, {}).get(name, NAN)
+                          for name, over in named))
+    return rows, failed
 
 
 def run_config(cfg: dict, n_workers: int | None = None) -> SweepResult:
     """Evaluate a parsed config; rows in grid order, failures marked nan."""
     if cfg["mode"] == "figure":
-        return run_figure(cfg["figure"], points=cfg.get("points"),
+        return run_figure(cfg["figure"], points=cfg["points"],
                           n_workers=n_workers or cfg["n_workers"])
     axes = [s["param"] for s in (cfg["sweep"], cfg["sweep2"]) if s]
     columns = axes + _MODE_COLUMNS[cfg["mode"]] + list(_echo(cfg)) + ["ok"]

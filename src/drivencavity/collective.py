@@ -56,6 +56,12 @@ class PatternSpec:
         return base + np.arange(self.n_atoms, dtype=float)
 
 
+def _saturation(g, params: SystemParams):
+    """Saturation parameter g^2 / ((gamma/2)^2 + Delta^2) of a coupling or
+    pump amplitude g (elementwise for an array)."""
+    return g ** 2 / ((params.gamma / 2) ** 2 + params.delta ** 2)
+
+
 def _saturation_ok(params: SystemParams) -> bool:
     n = params.n_atoms
     lhs = math.hypot(params.gamma / 2, params.delta)
@@ -66,8 +72,7 @@ def effective_field_params(params: SystemParams) -> EffectiveFieldParams:
     """Adiabatic-elimination coefficients for an arbitrary set of positions."""
     prof = coupling_profile(params)
     g = prof.g_n
-    denom = (params.gamma / 2) ** 2 + params.delta ** 2
-    s_n = g ** 2 / denom
+    s_n = _saturation(g, params)
     s = float(np.mean(s_n))
     n = params.n_atoms
     gsq = float(np.sum(g ** 2))
@@ -107,7 +112,7 @@ def in_phase_alpha(pattern: PatternSpec, params: SystemParams) -> complex:
     """
     gbar = params.g0 if pattern.parity == 0 else -params.g0
     n = pattern.n_atoms
-    s = gbar ** 2 / ((params.gamma / 2) ** 2 + params.delta ** 2)
+    s = _saturation(gbar, params)
     num = n * s * (params.gamma / 2 + 1j * params.delta)
     return -(params.omega / gbar) * num / (
         num + params.kappa / 2 - 1j * params.delta_c)
@@ -119,13 +124,11 @@ def excited_population(pattern: PatternSpec, params: SystemParams) -> float:
     Vanishes at kappa = 0, delta_c = 0: the cavity field interferes
     destructively with the pump at every atom.
     """
-    gbar = params.g0
     n = pattern.n_atoms
-    denom0 = (params.gamma / 2) ** 2 + params.delta ** 2
-    s = gbar ** 2 / denom0
+    s = _saturation(params.g0, params)
     gp = n * s * params.gamma
     dp = params.delta_c - n * s * params.delta
-    return (params.omega ** 2 / denom0) \
+    return _saturation(params.omega, params) \
         * (params.kappa ** 2 / 4 + params.delta_c ** 2) \
         / ((gp + params.kappa) ** 2 / 4 + dp ** 2)
 
@@ -151,7 +154,7 @@ def critical_atom_number(params: SystemParams) -> float:
     """
     if params.g0 == 0:
         raise ValueError("g0 must be nonzero")
-    s = params.g0 ** 2 / ((params.gamma / 2) ** 2 + params.delta ** 2)
+    s = _saturation(params.g0, params)
     return params.kappa / (s * math.hypot(params.gamma, params.delta))
 
 
@@ -207,7 +210,7 @@ def restoring_coefficient(pattern: PatternSpec, params: SystemParams) -> float:
     if params.g0 == 0:
         raise ValueError("g0 must be nonzero")
     # the pattern's atom-induced field decay rate gamma' = N s gamma
-    s = params.g0 ** 2 / ((params.gamma / 2) ** 2 + params.delta ** 2)
+    s = _saturation(params.g0, params)
     gamma_prime = pattern.n_atoms * s * params.gamma
     if abs(params.delta_c) > 0.5 * (gamma_prime + params.kappa):
         warnings.warn("|delta_c| is not small against the field linewidth; "

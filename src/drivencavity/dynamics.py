@@ -35,8 +35,18 @@ DEGENERACY_CONDITION_LIMIT = 1e10
 # steady_state solves by sparse LU below this Hilbert-space dimension and by
 # preconditioned GMRES from it on, where LU fill dominates, when there are two
 # or more atoms.  One atom stays on LU at every size: its fill grows slowly,
-# and GMRES can stall there under strong drive.
-KRYLOV_MIN_DIM = 64
+# and GMRES can stall there under strong drive.  Two atoms at (0, 0.37),
+# GMRES / LU in ms, best of 3 (2-vCPU Xeon VM, one BLAS thread):
+#
+#   dim                     16        24         32         48        64
+#   fig6 parameters      3.0/2.4   4.0/5.4    5.1/11.3  16.3/39.2  22.5/91
+#   g0=1 Om=1 kappa=0.5 11.5/3.2  19.8/6.9   17.2/9.2   27.6/39.7  46.5/101
+#   g0=1 Om=3 kappa=0.1 13.3/2.3  27.3/6.8   38.0/12.5  64.9/46.6   142/104
+#
+# The last row loses at 48, but that drive (beta = Om/g0 = 3) starts at
+# n_max = 37, not the 11 of dim 48: a dim-48 state there is far from
+# converged and escalates past the crossover anyway.
+KRYLOV_MIN_DIM = 48
 
 G2_DEFINED_THRESHOLD = 1e-12
 

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from drivencavity.cli import (
     run_figure,
     write_csv,
 )
-from drivencavity.figures import preset_names
+from drivencavity.figures import PRESETS, preset_names
 
 
 def _write_cfg(tmp_path, payload, name="cfg.json"):
@@ -105,6 +106,9 @@ def test_sweep_validation(tmp_path, sweep):
                     omega_n=[1.0, float("inf")])},
     # a figure config carries no keys its preset would ignore
     {"mode": "figure", "figure": "fig2a"},
+    # and no other mode reads a figure's keys
+    {"points": 5},
+    {"figure": "fig2a"},
 ])
 def test_malformed_field_is_config_error(tmp_path, overrides):
     cfg = _write_cfg(tmp_path, dict({
@@ -298,6 +302,124 @@ def test_stark_sweep_solves_steady_state_once(tmp_path, monkeypatch):
     result = run_config(cfg)
     assert result.n_failed == 0 and len(result.rows) == 10
     assert len(calls) == 1
+
+
+def _count_solves(monkeypatch) -> list:
+    calls = []
+    real = cli.solve_steady
+
+    def counted(params, n_max=None):
+        calls.append(params)
+        return real(params, n_max=n_max)
+
+    monkeypatch.setattr(cli, "solve_steady", counted)
+    return calls
+
+
+def _direct(params: cli.SystemParams, n_max: int | None = None) -> dict:
+    return cli._run_point({"mode": "steady", "params": params,
+                           "n_max": n_max})
+
+
+@pytest.mark.parametrize("name, points", [("fig8", 6), ("fig6", 8)])
+def test_symmetric_preset_points_are_solved_once(monkeypatch, name, points):
+    calls = _count_solves(monkeypatch)
+    result = run_figure(name, points=points)
+    monkeypatch.undo()
+    preset = PRESETS[name]
+    # fig8 spans (x1, x2) = (a, b) / points; fig6 spans x2 = b / points
+    ks = range(points)
+    pairs = ([(a, b) for a in ks for b in ks] if name == "fig8"
+             else [(0, b) for b in ks])
+    n_axes = len(preset.axes)
+    assert [row[:n_axes] for row in result.rows] \
+        == [tuple(k / points for k in pair[-n_axes:]) for pair in pairs]
+    # theta = pi/2 and a homogeneous pump: swapping the atoms and x -> -x
+    # (mod 1) map a system onto an equal one; one solve per orbit of these
+    # maps, the diagonal x1 = x2 of fig8 unsolved
+    orbits = {min((a, b), (b, a), (-a % points, -b % points),
+                  (-b % points, -a % points))
+              for a, b in pairs if a != b or name == "fig6"}
+    assert len(calls) == len(orbits)
+    for row in result.rows:
+        values = dict(zip(preset.columns.values(), row))
+        positions = list(preset.params.positions)
+        for n in range(2):
+            positions[n] = values.get(f"position[{n}]", positions[n])
+        if positions[0] == positions[1] and preset.diagonal:
+            continue
+        direct = _direct(replace(preset.params, positions=positions))
+        for source, value in values.items():
+            if source in direct:
+                assert value == pytest.approx(direct[source], rel=1e-9), \
+                    (positions, source)
+
+
+_SWEEP_X1 = {"param": "position[0]", "start": 0.125, "stop": 0.625,
+             "points": 3}
+_SWEEP_X2 = {"param": "position[1]", "start": 0.125, "stop": 0.875,
+             "points": 7}
+_SWEEP_BOTH = {"sweep": _SWEEP_X1,
+               "sweep2": dict(_SWEEP_X1, param="position[1]")}
+
+
+@pytest.mark.parametrize("params, sweeps, solves", [
+    # x2 and 1 - x2 are mirror images: 0.5 and three pairs
+    ({"theta": math.pi / 2}, {"sweep": _SWEEP_X2}, 4),
+    # the pump phase 2 pi x cos(theta) is odd in x, so a mirror image is
+    # another system (at x2 = 1/8 and 7/8, i_at differs by 93%): no fold
+    ({"theta": math.pi / 3}, {"sweep": _SWEEP_X2}, 7),
+    # swapping the atoms still folds: 3 x 3 rows, 6 unordered pairs
+    ({"theta": math.pi / 3}, _SWEEP_BOTH, 6),
+    # unless each atom has its own pump amplitude
+    ({"theta": math.pi / 3, "omega_n": [1.0, 0.5]}, _SWEEP_BOTH, 9),
+], ids=["theta_pi_2", "theta_pi_3", "theta_pi_3-swap",
+        "theta_pi_3-unequal_pump"])
+def test_position_sweep_folds_only_equal_systems(
+        tmp_path, monkeypatch, params, sweeps, solves):
+    calls = _count_solves(monkeypatch)
+    # n_max 5 keeps the solves small; the fold does not depend on it
+    cfg = load_config(_write_cfg(tmp_path, dict({
+        "mode": "steady", "n_max": 5,
+        "params": dict({"positions": [0.0, 0.0], "g0": 10.0, "omega": 1.0,
+                        "kappa": 0.2, "delta": 100.0}, **params)},
+        **sweeps)))
+    result = run_config(cfg)
+    monkeypatch.undo()
+    assert len(calls) == solves
+    # pi_e_<n> is no config column: ask the runner for it directly
+    pi_e_rows, _ = cli._sweep(cfg["grid"], ["pi_e_1", "pi_e_2"], 1)
+    for (assignments, point), row, pi_e in zip(cfg["grid"], result.rows,
+                                               pi_e_rows, strict=True):
+        values = dict(zip(result.columns, row))
+        values.update(pi_e_1=pi_e[0], pi_e_2=pi_e[1])
+        # a mirrored row keeps its own axis and echo columns
+        assert all(values[axis] == x for axis, x in assignments.items())
+        assert values["p_positions"] == cli._echo(point)["p_positions"]
+        direct = _direct(point["params"], point["n_max"])
+        for name in ("i_at", "i_cav", "mean_n", "re_alpha", "im_alpha", "g2",
+                     "n_max", "pi_e_1", "pi_e_2"):
+            assert values[name] == pytest.approx(direct[name], rel=1e-9), \
+                (assignments, name)
+
+
+def test_failed_solve_fails_its_whole_orbit(tmp_path, monkeypatch):
+    real = cli.solve_steady
+
+    def fails_at_one_eighth(params, n_max=None):
+        if params.positions[1] == 0.125:
+            raise RuntimeError("forced failure")
+        return real(params, n_max=n_max)
+
+    monkeypatch.setattr(cli, "solve_steady", fails_at_one_eighth)
+    cfg = load_config(_write_cfg(tmp_path, {
+        "mode": "steady", "n_max": 5, "sweep": _SWEEP_X2,
+        "params": {"positions": [0.0, 0.0], "g0": 10.0, "omega": 1.0,
+                   "kappa": 0.2, "delta": 100.0}}))
+    result = run_config(cfg)
+    # 7/8 is the mirror image of 1/8 and takes its failed solve
+    assert [row[0] for row in result.rows if not row[-1]] == [0.125, 0.875]
+    assert result.n_failed == 2
 
 
 def test_figure_preset_determinism_and_workers(tmp_path):

@@ -77,8 +77,11 @@ def test_emission_ratio_tracks_cooperativity():
     (1, 1.0, 1e-6, 0.0, 6),
     # above the LU crossover: GMRES cannot solve the trace-row matrix
     (3, 0.0, 0.0, 0.0, 11),
+    (2, 0.0, 0.0, 0.0, 11),
+    (2, 1.0, 1e-8, 0.0, 11),
 ], ids=["uncoupled-n_max2", "uncoupled-n_max20", "g0_1e-8", "kappa_1e-12",
-        "g0_1e-6", "uncoupled-3atoms-n_max11"])
+        "g0_1e-6", "uncoupled-3atoms-n_max11", "uncoupled-2atoms-n_max11",
+        "g0_1e-8-2atoms-n_max11"])
 def test_degenerate_steady_state_detected(n_atoms, omega, g0, kappa, n_max):
     p = _params(positions=(0.0,) * n_atoms, omega=omega, g0=g0, kappa=kappa)
     l = build_liouvillian(p, build_space(p, n_max=n_max))
@@ -103,7 +106,9 @@ _FIG7 = dict(g0=10.0, omega=1.0, kappa=0.01)
     ((0.0, 1 / 3, 1 / 3), _FIG6, None),
     # fig7 near lambda/2, its last escalation step
     ((0.0, 100 / 201), _FIG7, 39),
-], ids=["3atoms-near-dark", "fig7-n_max39"])
+    # a fig8 point at dim 48, <n> ~ 2e-8: the largest GMRES-LU gap seen
+    ((0.0, 0.5), _FIG6, None),
+], ids=["3atoms-near-dark", "fig7-n_max39", "fig8-dim48"])
 def test_krylov_steady_state_matches_lu(positions, system, n_max, monkeypatch):
     p = _params(positions=positions, **system)
     l = build_liouvillian(p, build_space(p, n_max))
