@@ -2,18 +2,23 @@
 
 Outputs are deterministic: floats are written with 17 significant digits,
 column order is fixed, and sweep rows are assembled in grid order no matter
-how many workers computed them.  Set SIMULATE_MAX_WORKERS to cap
-parallelism regardless of what a config or --workers asks for.
+how many workers computed them.  Workers are forked processes, at most one
+per distinct system and per core, each on one BLAS thread; where the fork
+start method is unavailable a sweep runs serially.  Set
+SIMULATE_MAX_WORKERS to cap parallelism regardless of what a config or
+--workers asks for.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import contextlib
+import ctypes
 import functools
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import sys
 import warnings
@@ -323,7 +328,8 @@ def _echo(point: dict) -> dict:
 
 @functools.lru_cache(maxsize=256)
 def _steady_alpha(params: SystemParams) -> complex:
-    """<a> in the steady state; a stark sweep solves each system once."""
+    """<a> in the steady state; a stark sweep solves each system once in
+    each worker process."""
     sol = solve_steady(params)
     return observables(sol.rho, params).alpha
 
@@ -379,11 +385,90 @@ def resolve_workers(requested: int | None) -> int:
     return n
 
 
+# the thread-count getter and setter of numpy's OpenBLAS, then of scipy's
+_BLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
+                        "scipy_openblas_{}_num_threads")
+
+
+@functools.cache
+def _blas_thread_controls() -> tuple:
+    """(get, set) of the thread count of each OpenBLAS copy in this process;
+    none where the loaded libraries cannot be listed or lack the symbols."""
+    try:
+        maps = Path("/proc/self/maps").read_text(encoding="utf-8")
+    except OSError:
+        return ()
+    paths = sorted({line.split(maxsplit=5)[5].strip()
+                    for line in maps.splitlines() if "openblas" in line})
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _BLAS_THREAD_SYMBOLS:
+            get = getattr(lib, symbol.format("get"), None)
+            set_ = getattr(lib, symbol.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Each OpenBLAS copy on one thread inside, on its old count after.
+
+    The matrices of one point are small: a BLAS thread pool costs more
+    than it saves, and across workers it oversubscribes the cores.  Forked
+    workers inherit the setting.
+    """
+    controls = _blas_thread_controls()
+    old = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), n in zip(controls, old):
+            set_(n)
+
+
+_worker_task = None  # (fn, items) in a worker process
+
+
+def _init_worker(fn, items) -> None:
+    global _worker_task
+    _worker_task = fn, items
+
+
+def _run_item(index: int):
+    fn, items = _worker_task
+    return fn(items[index])
+
+
 def _map_ordered(fn, items, n_workers: int) -> list:
-    if n_workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=n_workers) as ex:
-        return list(ex.map(fn, items))
+    """[fn(item) for item in items], on up to n_workers forked processes.
+
+    The processes inherit fn and items, so neither is pickled and fn may be
+    a closure; only an index goes to a worker and only fn's result comes
+    back.  No more processes start than items or cores.  The pool forks its
+    workers before it starts its own threads, and OpenBLAS shuts its
+    threads down before a fork.
+    """
+    n_procs = min(n_workers, len(items), os.cpu_count() or 1)
+    with _one_blas_thread():
+        if (n_procs <= 1
+                or "fork" not in multiprocessing.get_all_start_methods()):
+            return [fn(item) for item in items]
+        context = multiprocessing.get_context("fork")
+        with context.Pool(n_procs, _init_worker, (fn, items)) as pool:
+            # about 16 tasks a process: few enough that a cheap point does
+            # not wait on a round trip, many enough that the last task of a
+            # sweep keeps the other processes idle only briefly
+            chunk = max(1, len(items) // (16 * n_procs))
+            return list(pool.imap(_run_item, range(len(items)), chunk))
 
 
 @dataclass
@@ -562,6 +647,14 @@ def write_json(result: SweepResult, path: str) -> None:
         encoding="utf-8")
 
 
+def _require_directory(directory: Path) -> None:
+    """A ConfigError unless directory exists; checked before a sweep, so a
+    missing one costs no solves."""
+    if not directory.is_dir():
+        raise ConfigError(f"output directory '{directory}' does not exist "
+                          "or is not a directory")
+
+
 def _write(result: SweepResult, path: str, fmt: str) -> None:
     if fmt == "json":
         write_json(result, path)
@@ -611,10 +704,12 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_OK
             if args.command == "run":
                 cfg = load_config(args.config)
-                result = run_config(cfg, n_workers=args.workers)
                 path = cfg["output_path"] or "result.csv"
+                _require_directory(Path(path).parent)
+                result = run_config(cfg, n_workers=args.workers)
                 _write(result, path, cfg["output_format"])
             else:
+                _require_directory(Path(args.out))
                 result = run_figure(args.name, points=args.points,
                                     n_workers=args.workers)
                 path = str(Path(args.out) / f"{args.name}.csv")

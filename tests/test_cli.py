@@ -1,5 +1,7 @@
 import json
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -420,6 +422,143 @@ def test_failed_solve_fails_its_whole_orbit(tmp_path, monkeypatch):
     # 7/8 is the mirror image of 1/8 and takes its failed solve
     assert [row[0] for row in result.rows if not row[-1]] == [0.125, 0.875]
     assert result.n_failed == 2
+
+
+def test_figure_missing_out_directory_fails_before_solving(
+        tmp_path, monkeypatch, capsys):
+    calls = _count_solves(monkeypatch)
+    missing = tmp_path / "missing"
+    assert main(["figure", "fig2a", "--out", str(missing),
+                 "--points", "4"]) == EXIT_CONFIG
+    assert str(missing) in capsys.readouterr().err
+    assert calls == []
+
+
+def test_run_missing_output_directory_fails_before_solving(
+        tmp_path, monkeypatch, capsys):
+    calls = _count_solves(monkeypatch)
+    missing = tmp_path / "missing"
+    cfg_path = _write_cfg(tmp_path, {
+        "mode": "steady", "params": BASE_PARAMS,
+        "sweep": {"param": "kappa", "start": 0.05, "stop": 0.2, "points": 3},
+        "output": {"path": str(missing / "o.csv"), "format": "csv"}})
+    assert main(["run", cfg_path]) == EXIT_CONFIG
+    assert str(missing) in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Sweeps at two workers take the process path, whatever the machine."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork start method: sweeps run serially")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def _record_pools(monkeypatch) -> list:
+    """The process count each worker pool is asked for; none starts more
+    than two processes, whatever it asks for."""
+    asked = []
+    context = type(multiprocessing.get_context("fork"))
+    real = context.Pool
+
+    def recorded(self, processes=None, *args, **kwargs):
+        asked.append(processes)
+        return real(self, min(processes or 2, 2), *args, **kwargs)
+
+    monkeypatch.setattr(context, "Pool", recorded)
+    return asked
+
+
+def test_map_ordered_runs_a_local_closure_in_item_order(two_cores):
+    offset = 1000
+
+    def shifted(item):  # a local closure, as the bench tracer passes
+        return item + offset, os.getpid()
+
+    items = list(range(40))
+    results = cli._map_ordered(shifted, items, 2)
+    assert [value for value, _ in results] == [i + offset for i in items]
+    assert os.getpid() not in {pid for _, pid in results}
+
+
+def test_process_count_is_bounded(tmp_path, monkeypatch, two_cores):
+    asked = _record_pools(monkeypatch)
+    cfg = load_config(_write_cfg(tmp_path, {
+        "mode": "spectrum", "params": dict(BASE_PARAMS, g0=1.0, kappa=0.0),
+        "sweep": {"param": "delta_p", "start": -3.0, "stop": 3.0,
+                  "points": 9}}))
+    serial = run_config(cfg, n_workers=1)
+    assert asked == []
+    # never more processes than cores
+    assert run_config(cfg, n_workers=64).rows == serial.rows
+    assert asked == [2]
+    # nor than distinct systems: x2 and 1 - x2 fold, 4 systems for 7 rows
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    asked.clear()
+    cfg = load_config(_write_cfg(tmp_path, {
+        "mode": "steady", "n_max": 5, "sweep": _SWEEP_X2,
+        "params": {"positions": [0.0, 0.0], "g0": 10.0, "omega": 1.0,
+                   "kappa": 0.2, "delta": 100.0}}))
+    run_config(cfg, n_workers=64)
+    assert asked == [4]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_strict_mode_stops_on_a_worker_regime_warning(tmp_path, two_cores):
+    cfg_path = _write_cfg(tmp_path, {
+        "mode": "spectrum", "params": dict(BASE_PARAMS, g0=1.0, kappa=0.0),
+        "probe": {"omega_p": 0.5},
+        "sweep": {"param": "delta_p", "start": -1.0, "stop": 1.0,
+                  "points": 4},
+        "output": {"path": str(tmp_path / "o.csv"), "format": "csv"}})
+    assert main(["run", cfg_path, "--workers", "2"]) == EXIT_OK
+    assert main(["run", cfg_path, "--workers", "2", "--strict"]) \
+        == EXIT_REGIME
+
+
+def test_worker_failure_gives_the_serial_rows(tmp_path, monkeypatch,
+                                              two_cores):
+    real = cli.solve_steady
+
+    def fails_at_one_eighth(params, n_max=None):
+        if params.positions[1] == 0.125:
+            raise RuntimeError("forced failure")
+        return real(params, n_max=n_max)
+
+    monkeypatch.setattr(cli, "solve_steady", fails_at_one_eighth)
+    cfg = load_config(_write_cfg(tmp_path, {
+        "mode": "steady", "n_max": 5, "sweep": _SWEEP_X2,
+        "params": {"positions": [0.0, 0.0], "g0": 10.0, "omega": 1.0,
+                   "kappa": 0.2, "delta": 100.0}}))
+    tables = []
+    for n_workers in (1, 2):
+        result = run_config(cfg, n_workers=n_workers)
+        assert result.n_failed == 2
+        path = tmp_path / f"w{n_workers}.csv"
+        write_csv(result, str(path))
+        tables.append(path.read_bytes())
+    assert tables[0] == tables[1]
+    assert b"nan" in tables[0]
+
+
+def test_sweep_restores_the_blas_thread_count(two_cores):
+    controls = cli._blas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread-count symbols in this process")
+    original = [get() for get, _ in controls]
+    try:
+        for _, set_ in controls:
+            set_(2)
+        before = [get() for get, _ in controls]
+        inside = cli._map_ordered(
+            lambda _: [get() for get, _ in controls], [0, 1, 2], 2)
+        assert inside == [[1] * len(controls)] * 3
+        run_figure("fig6", points=4, n_workers=2)
+        assert [get() for get, _ in controls] == before
+    finally:
+        for (_, set_), n in zip(controls, original):
+            set_(n)
 
 
 def test_figure_preset_determinism_and_workers(tmp_path):
