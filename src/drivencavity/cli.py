@@ -3,17 +3,15 @@
 Outputs are deterministic: floats are written with 17 significant digits,
 column order is fixed, and sweep rows are assembled in grid order no matter
 how many workers computed them.  Workers are forked processes, at most one
-per distinct system and per core, each on one BLAS thread; where the fork
-start method is unavailable a sweep runs serially.  Set
-SIMULATE_MAX_WORKERS to cap parallelism regardless of what a config or
+per distinct system and per core this process may run on, each on one BLAS
+thread; where the fork start method is unavailable a sweep runs serially.
+Set SIMULATE_MAX_WORKERS to cap parallelism regardless of what a config or
 --workers asks for.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import ctypes
 import functools
 import itertools
 import json
@@ -28,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .collective import PatternSpec, excited_population, in_phase_alpha
-from .dynamics import evolve, ground_state, observables, solve_steady
+from .dynamics import (_one_blas_thread, evolve, ground_state, observables,
+                       solve_steady)
 from .figures import PRESETS, Preset, preset_names
 from .model import RegimeWarning, SystemParams, build_liouvillian, build_space
 from .spectrum import ProbeParams, excitation_spectrum, probe_stark_shift
@@ -385,54 +384,12 @@ def resolve_workers(requested: int | None) -> int:
     return n
 
 
-# the thread-count getter and setter of numpy's OpenBLAS, then of scipy's
-_BLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
-                        "scipy_openblas_{}_num_threads")
-
-
-@functools.cache
-def _blas_thread_controls() -> tuple:
-    """(get, set) of the thread count of each OpenBLAS copy in this process;
-    none where the loaded libraries cannot be listed or lack the symbols."""
-    try:
-        maps = Path("/proc/self/maps").read_text(encoding="utf-8")
-    except OSError:
-        return ()
-    paths = sorted({line.split(maxsplit=5)[5].strip()
-                    for line in maps.splitlines() if "openblas" in line})
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in _BLAS_THREAD_SYMBOLS:
-            get = getattr(lib, symbol.format("get"), None)
-            set_ = getattr(lib, symbol.format("set"), None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
-    return tuple(controls)
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Each OpenBLAS copy on one thread inside, on its old count after.
-
-    The matrices of one point are small: a BLAS thread pool costs more
-    than it saves, and across workers it oversubscribes the cores.  Forked
-    workers inherit the setting.
-    """
-    controls = _blas_thread_controls()
-    old = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(1)
-    try:
-        yield
-    finally:
-        for (_, set_), n in zip(controls, old):
-            set_(n)
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the
+    platform reports one (taskset, a cgroup cpuset), else the core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 _worker_task = None  # (fn, items) in a worker process
@@ -453,11 +410,11 @@ def _map_ordered(fn, items, n_workers: int) -> list:
 
     The processes inherit fn and items, so neither is pickled and fn may be
     a closure; only an index goes to a worker and only fn's result comes
-    back.  No more processes start than items or cores.  The pool forks its
-    workers before it starts its own threads, and OpenBLAS shuts its
-    threads down before a fork.
+    back.  No more processes start than items or usable cores.  The pool
+    forks its workers before it starts its own threads, and OpenBLAS shuts
+    its threads down before a fork.
     """
-    n_procs = min(n_workers, len(items), os.cpu_count() or 1)
+    n_procs = min(n_workers, len(items), _usable_cores())
     with _one_blas_thread():
         if (n_procs <= 1
                 or "fork" not in multiprocessing.get_all_start_methods()):
@@ -492,29 +449,25 @@ def _system_key(point: dict) -> tuple[tuple, tuple[int, ...]] | None:
     Two steady points get the same key when a map that leaves the steady
     state unchanged takes one system onto the other:
       - relabeling the atoms, when the pump is homogeneous;
-      - x -> -x (mod 1) on every position, when |cos theta| is zero to
-        rounding: g(x) is even and the pump phase is then zero everywhere.
+      - x -> -x (mod 1) on any one position, when |cos theta| is zero to
+        rounding: g(x) is even and the pump phase is then zero everywhere,
+        so each position enters only through g(x); the key holds
+        min(x, -x mod 1).
     atoms lists the point's atoms in the order of the key's positions, which
     are matched on a grid of _FOLD_TOL.
     """
     if point["mode"] != "steady":
         return None
     params = point["params"]
-    images = [params.positions]
+    positions = params.positions
     if abs(math.cos(params.theta)) < _FOLD_TOL:
-        images = [tuple(sign * x % 1.0 for x in params.positions)
-                  for sign in (1, -1)]
-    relabel = len(set(params.pump_amplitudes)) == 1
-    candidates = []
-    for positions in images:
-        cells = [round(x / _FOLD_TOL) for x in positions]
-        atoms = range(len(cells))
-        if relabel:
-            atoms = sorted(atoms, key=cells.__getitem__)
-        candidates.append((tuple(cells[n] for n in atoms), tuple(atoms)))
-    cells, atoms = min(candidates)
+        positions = [min(x % 1.0, -x % 1.0) for x in positions]
+    cells = [round(x / _FOLD_TOL) for x in positions]
+    atoms = range(len(cells))
+    if len(set(params.pump_amplitudes)) == 1:
+        atoms = sorted(atoms, key=cells.__getitem__)
     rest = tuple(v for k, v in vars(params).items() if k != "positions")
-    return (rest, point["n_max"], cells), atoms
+    return (rest, point["n_max"], tuple(cells[n] for n in atoms)), tuple(atoms)
 
 
 def _solve_or_none(point: dict) -> dict | None:

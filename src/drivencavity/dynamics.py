@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.integrate
@@ -17,14 +21,12 @@ from .model import (
     build_liouvillian,
     build_space,
     default_n_max,
+    term_plan,
 )
 from .operators import (
     DensityMatrix,
     SpaceDescriptor,
-    annihilation,
-    atomic_lowering,
     basis_state,
-    expectation,
     fock_populations,
 )
 
@@ -113,10 +115,7 @@ def steady_state(l: Superoperator) -> DensityMatrix:
     """
     dim = l.space.dim
     side = l.matrix.shape[0]
-    trace_row = sp.csr_matrix((np.ones(dim), (np.zeros(dim, dtype=int),
-                                              np.arange(dim) * (dim + 1))),
-                              shape=(side, side))
-    m = sp.diags(np.r_[0.0, np.ones(side - 1)]) @ l.matrix + trace_row
+    m = _trace_row_matrix(l.matrix, dim)
     r = np.random.default_rng(0).standard_normal(side).astype(complex)
     b = np.zeros(side, dtype=complex)
     b[0] = 1.0
@@ -146,6 +145,18 @@ def steady_state(l: Superoperator) -> DensityMatrix:
         raise SteadyStateError(
             f"steady-state residual {residual:.3e} exceeds {1e-9 * dim:.3e}")
     return DensityMatrix.from_matrix(l.space, rho, check=False)
+
+
+def _trace_row_matrix(lmat: sp.csr_matrix, dim: int) -> sp.csr_matrix:
+    """lmat with its row 0 replaced by the trace row, the ones at the
+    diagonal entries of vec(rho); built from new CSR arrays."""
+    start = lmat.indptr[1]
+    trace = np.arange(dim, dtype=lmat.indices.dtype) * (dim + 1)
+    return sp.csr_matrix(
+        (np.concatenate((np.ones(dim), lmat.data[start:])),
+         np.concatenate((trace, lmat.indices[start:])),
+         np.concatenate(([0], lmat.indptr[1:] - start + dim))),
+        shape=lmat.shape)
 
 
 def _no_jump_inverse(h_eff: np.ndarray) -> spla.LinearOperator:
@@ -215,22 +226,27 @@ def evolve(rho0: DensityMatrix, l: Superoperator, t_final: float,
     return DensityMatrix.from_matrix(l.space, (m + m.conj().T) / 2, check=False)
 
 
+def _expect(op: sp.coo_matrix, rho: DensityMatrix) -> complex:
+    """Tr(op rho) for a sparse op."""
+    return complex(op.data @ rho.entries[op.col, op.row])
+
+
 def observables(rho: DensityMatrix, params: SystemParams) -> ObservableSet:
-    space = rho.space
-    a = annihilation(space)
-    n_op = a.dag() @ a
-    mean_n = expectation(n_op, rho).real
-    alpha = expectation(a, rho)
-    pi_e = np.empty(params.n_atoms)
-    for n in range(params.n_atoms):
-        sig = atomic_lowering(space, n)
-        pi_e[n] = expectation(sig.dag() @ sig, rho).real
+    plan = term_plan(rho.space)
+    # a^dag a is diagonal, and a^dag a^dag a a = a^dag a (a^dag a - 1)
+    number = plan.operators[0]
+    populations = rho.entries[number.row, number.col].real
+    mean_n = number.data @ populations
+    alpha = _expect(plan.collapses[-1], rho)
+    # sig_n^dag sig_n, the decay term of each atom's collapse
+    pi_e = np.array([_expect(plan.operators[k], rho).real
+                     for k in plan.decay_terms[:-1]])
     i_at_per_atom = params.gamma * pi_e
     g2: float | None
     if mean_n < G2_DEFINED_THRESHOLD:
         g2 = None
     else:
-        n2 = expectation(a.dag() @ a.dag() @ a @ a, rho).real
+        n2 = (number.data * (number.data - 1)) @ populations
         g2 = n2 / mean_n**2
     return ObservableSet(
         i_at_per_atom=i_at_per_atom,
@@ -243,30 +259,82 @@ def observables(rho: DensityMatrix, params: SystemParams) -> ObservableSet:
     )
 
 
+# the thread-count getter and setter of numpy's OpenBLAS, then of scipy's
+_BLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
+                        "scipy_openblas_{}_num_threads")
+
+
+@functools.cache
+def _blas_thread_controls() -> tuple:
+    """(get, set) of the thread count of each OpenBLAS copy in this process;
+    none where the loaded libraries cannot be listed or lack the symbols."""
+    try:
+        maps = Path("/proc/self/maps").read_text(encoding="utf-8")
+    except OSError:
+        return ()
+    paths = sorted({line.split(maxsplit=5)[5].strip()
+                    for line in maps.splitlines() if "openblas" in line})
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _BLAS_THREAD_SYMBOLS:
+            get = getattr(lib, symbol.format("get"), None)
+            set_ = getattr(lib, symbol.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Each OpenBLAS copy on one thread inside, on its old count after.
+
+    The matrices of one point are small: a BLAS thread pool costs more
+    than it saves, and across workers it oversubscribes the cores.  Forked
+    workers inherit the setting.
+    """
+    controls = _blas_thread_controls()
+    old = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), n in zip(controls, old):
+            set_(n)
+
+
 def solve_steady(params: SystemParams, n_max: int | None = None) -> SteadySolution:
     """Steady state with automatic Fock-truncation escalation.
 
     The top two Fock populations must stay below TAIL_POPULATION_LIMIT;
-    otherwise n_max grows by 50% (at most three times).
+    otherwise n_max grows by 50% (at most three times).  Runs with each
+    OpenBLAS copy on one thread.
     """
-    current = n_max if n_max is not None else default_n_max(params)
-    for escalation in range(MAX_TRUNCATION_ESCALATIONS + 1):
-        if escalation:
-            current = math.ceil(current * 1.5)
-        space = build_space(params, current)
-        l = build_liouvillian(params, space)
-        rho = steady_state(l)
-        tail = fock_populations(rho)[-2:].sum()
-        if tail < TAIL_POPULATION_LIMIT:
-            residual = np.linalg.norm(l.matrix @ rho.entries.reshape(-1))
-            return SteadySolution(
-                rho=rho, space=space, n_max=current,
-                residual=float(residual), escalations=escalation,
-            )
-    raise TruncationEscalationError(
-        f"Fock tail population {tail:.3e} at n_max={current} is above "
-        f"{TAIL_POPULATION_LIMIT} after {MAX_TRUNCATION_ESCALATIONS} "
-        f"escalations")
+    with _one_blas_thread():
+        current = n_max if n_max is not None else default_n_max(params)
+        for escalation in range(MAX_TRUNCATION_ESCALATIONS + 1):
+            if escalation:
+                current = math.ceil(current * 1.5)
+            space = build_space(params, current)
+            l = build_liouvillian(params, space)
+            rho = steady_state(l)
+            tail = fock_populations(rho)[-2:].sum()
+            if tail < TAIL_POPULATION_LIMIT:
+                residual = np.linalg.norm(l.matrix @ rho.entries.reshape(-1))
+                return SteadySolution(
+                    rho=rho, space=space, n_max=current,
+                    residual=float(residual), escalations=escalation,
+                )
+        raise TruncationEscalationError(
+            f"Fock tail population {tail:.3e} at n_max={current} is above "
+            f"{TAIL_POPULATION_LIMIT} after {MAX_TRUNCATION_ESCALATIONS} "
+            f"escalations")
 
 
 def ground_state(space: SpaceDescriptor) -> DensityMatrix:

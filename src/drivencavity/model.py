@@ -7,8 +7,8 @@ in wavelengths, so the mode wavenumber is exactly 2*pi.
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +20,6 @@ from .operators import (
     SpaceMismatchError,
     annihilation,
     atomic_lowering,
-    embed,
 )
 
 K_WAVENUMBER = 2.0 * math.pi
@@ -114,41 +113,146 @@ def build_space(params: SystemParams, n_max: int | None = None) -> SpaceDescript
     return SpaceDescriptor(params.n_atoms, n_max if n_max is not None else default_n_max(params))
 
 
-def build_hamiltonian(params: SystemParams, space: SpaceDescriptor) -> Operator:
-    """H/hbar in the frame rotating at the pump frequency."""
+@dataclass(frozen=True)
+class TermPlan:
+    """The model's terms on one space, and where they land in L.
+
+    operators are the real matrices that the coefficients of H and h_eff
+    multiply: a^dag a, then for each atom n sig_n^dag sig_n,
+    a sig_n^dag + a^dag sig_n, sig_n^dag and sig_n.  collapses are sig_n
+    for each atom, then a; decay_terms is the index of c^dag c among the
+    operators for each collapse c.  All are real COO matrices.
+
+    h_rows, h_cols is the union pattern of the operators, and h_terms
+    (pattern entry x operator) gives the matrix entries there as
+    h_terms @ coefficients.  l_indices, l_indptr is the CSR pattern of L,
+    the union of h (x) 1, 1 (x) h* and every c (x) c; l_indices is kept in
+    the smallest unsigned type that holds a column (uint16 to dim 256).
+    left, right and jumps hold the position in it of each entry of those
+    terms, in the order of np.repeat(h, dim), np.tile(h*, dim) and
+    np.outer(c, c).ravel().
+
+    Every array is read-only; a built matrix takes copies.
+    """
+
+    space: SpaceDescriptor
+    operators: tuple[sp.coo_matrix, ...] = field(repr=False)
+    collapses: tuple[sp.coo_matrix, ...] = field(repr=False)
+    decay_terms: tuple[int, ...]
+    h_rows: np.ndarray = field(repr=False)
+    h_cols: np.ndarray = field(repr=False)
+    h_terms: np.ndarray = field(repr=False)
+    l_indices: np.ndarray = field(repr=False)
+    l_indptr: np.ndarray = field(repr=False)
+    left: np.ndarray = field(repr=False)
+    right: np.ndarray = field(repr=False)
+    jumps: tuple[np.ndarray, ...] = field(repr=False)
+
+    def dense(self, coefficients: np.ndarray) -> np.ndarray:
+        """sum_k coefficients[k] operators[k] as a new dense matrix."""
+        dim = self.space.dim
+        h = np.zeros((dim, dim), dtype=complex)
+        h[self.h_rows, self.h_cols] = self.h_terms @ coefficients
+        return h
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.flags.writeable = False
+
+
+def _real_coo(op: np.ndarray) -> sp.coo_matrix:
+    coo = sp.coo_matrix(op)
+    _read_only(coo.row, coo.col, coo.data)
+    return coo
+
+
+@functools.lru_cache(maxsize=8)
+def term_plan(space: SpaceDescriptor) -> TermPlan:
+    """The TermPlan of space; the plans of the last eight spaces are kept."""
+    dim, side = space.dim, space.dim**2
+    a = annihilation(space).entries.real
+    sigmas = [atomic_lowering(space, n).entries.real
+              for n in range(space.n_atoms)]
+    dense = [a.T @ a]
+    for s in sigmas:
+        dense += [s.T @ s, a @ s.T + a.T @ s, s.T, s]
+    collapses = [_real_coo(c) for c in sigmas + [a]]
+    h_rows, h_cols = np.nonzero(np.any([op != 0 for op in dense], axis=0))
+    h_terms = np.stack([op[h_rows, h_cols] for op in dense], axis=1)
+
+    # every entry of every term as a key row * side + col into L
+    step = np.arange(dim)
+    keys = [((h_rows * dim * side + h_cols * dim)[:, None]
+             + step * (side + 1)).ravel(),
+            (step[:, None] * (dim * side + dim)
+             + h_rows * side + h_cols).ravel()]
+    for c in collapses:
+        keys.append(((c.row * dim * side + c.col * dim)[:, None]
+                     + c.row * side + c.col).ravel())
+    pattern, where = np.unique(np.concatenate(keys), return_inverse=True)
+    where = where.astype(np.int32)
+    indptr = np.searchsorted(pattern, np.arange(side + 1) * side)
+    destinations = np.split(where, np.cumsum([k.size for k in keys])[:-1])
+    plan = TermPlan(
+        space=space,
+        operators=tuple(_real_coo(op) for op in dense),
+        collapses=tuple(collapses),
+        decay_terms=tuple(1 + 4 * n for n in range(space.n_atoms)) + (0,),
+        h_rows=h_rows, h_cols=h_cols, h_terms=h_terms,
+        l_indices=(pattern % side).astype(np.min_scalar_type(side - 1)),
+        l_indptr=indptr.astype(np.int32),
+        left=destinations[0], right=destinations[1],
+        jumps=tuple(destinations[2:]))
+    _read_only(plan.h_rows, plan.h_cols, plan.h_terms, plan.l_indices,
+               plan.l_indptr, *destinations)
+    return plan
+
+
+def _hamiltonian_coefficients(params: SystemParams,
+                              space: SpaceDescriptor) -> np.ndarray:
+    """The coefficient of each of term_plan(space).operators in H."""
     if space.n_atoms != params.n_atoms:
         raise SpaceMismatchError("space atom count does not match params")
     prof = coupling_profile(params)
-    omega_n = params.pump_amplitudes
-    a = annihilation(space)
-    h = (-params.delta_c) * (a.dag() @ a).entries
+    drive = params.pump_amplitudes * np.exp(1j * prof.phi_n)
+    coefficients = [-params.delta_c]
     for n in range(params.n_atoms):
-        sig = atomic_lowering(space, n)
-        h = h - params.delta * (sig.dag() @ sig).entries
-        h = h + prof.g_n[n] * (a.entries @ sig.dag().entries
-                               + a.dag().entries @ sig.entries)
-        drive = omega_n[n] * np.exp(1j * prof.phi_n[n])
-        h = h + drive * sig.dag().entries + np.conj(drive) * sig.entries
-    return Operator(space, h)
+        coefficients += [-params.delta, prof.g_n[n], drive[n],
+                         np.conj(drive[n])]
+    return np.array(coefficients, dtype=complex)
+
+
+def build_hamiltonian(params: SystemParams, space: SpaceDescriptor) -> Operator:
+    """H/hbar in the frame rotating at the pump frequency."""
+    coefficients = _hamiltonian_coefficients(params, space)
+    return Operator(space, term_plan(space).dense(coefficients))
 
 
 def build_liouvillian(params: SystemParams, space: SpaceDescriptor) -> Superoperator:
-    """Full Lindblad generator: Hamiltonian, atomic decay, cavity decay."""
-    collapses = [(params.gamma, atomic_lowering(space, n).entries)
-                 for n in range(params.n_atoms)]
-    if params.kappa != 0:
-        collapses.append((params.kappa, annihilation(space).entries))
-    h_eff = build_hamiltonian(params, space).entries.astype(complex)
-    for rate, c in collapses:
-        h_eff = h_eff - 0.5j * rate * (c.conj().T @ c)
-    h = sp.csr_matrix(h_eff)
-    eye = sp.identity(space.dim, dtype=complex, format="csr")
-    lmat = -1j * (sp.kron(h, eye, format="csr")
-                  - sp.kron(eye, h.conj(), format="csr"))
-    for rate, c in collapses:
-        c = sp.csr_matrix(c)
-        lmat = lmat + rate * sp.kron(c, c.conj(), format="csr")
-    return Superoperator(space=space, matrix=lmat.tocsr(), h_eff=h_eff)
+    """Full Lindblad generator: Hamiltonian, atomic decay, cavity decay.
+
+    L's entries are summed over the cached TermPlan of space; entries that
+    come to exactly zero (kappa = 0, say) are not stored.
+    """
+    coefficients = _hamiltonian_coefficients(params, space)
+    plan = term_plan(space)
+    rates = [params.gamma] * params.n_atoms + [params.kappa]
+    for k, rate in zip(plan.decay_terms, rates):
+        coefficients[k] -= 0.5j * rate
+    h_eff = plan.dense(coefficients)
+    h = h_eff[plan.h_rows, plan.h_cols]
+    data = np.zeros(plan.l_indices.size, dtype=complex)
+    data[plan.left] = np.repeat(-1j * h, space.dim)
+    data[plan.right] += np.tile(1j * h.conj(), space.dim)
+    for rate, c, where in zip(rates, plan.collapses, plan.jumps):
+        if rate:
+            data[where] += rate * np.outer(c.data, c.data).ravel()
+    lmat = sp.csr_matrix((data, plan.l_indices.astype(np.int32),
+                          plan.l_indptr.copy()),
+                         shape=(space.dim**2, space.dim**2))
+    lmat.eliminate_zeros()
+    return Superoperator(space=space, matrix=lmat, h_eff=h_eff)
 
 
 def apply_superoperator(l: Superoperator, rho: np.ndarray) -> np.ndarray:

@@ -337,10 +337,12 @@ def test_symmetric_preset_points_are_solved_once(monkeypatch, name, points):
     assert [row[:n_axes] for row in result.rows] \
         == [tuple(k / points for k in pair[-n_axes:]) for pair in pairs]
     # theta = pi/2 and a homogeneous pump: swapping the atoms and x -> -x
-    # (mod 1) map a system onto an equal one; one solve per orbit of these
-    # maps, the diagonal x1 = x2 of fig8 unsolved
-    orbits = {min((a, b), (b, a), (-a % points, -b % points),
-                  (-b % points, -a % points))
+    # (mod 1) on either atom map a system onto an equal one; one solve per
+    # orbit of these maps, the diagonal x1 = x2 of fig8 unsolved
+    def fold(k):
+        return min(k, -k % points)
+
+    orbits = {tuple(sorted((fold(a), fold(b))))
               for a, b in pairs if a != b or name == "fig6"}
     assert len(calls) == len(orbits)
     for row in result.rows:
@@ -375,8 +377,14 @@ _SWEEP_BOTH = {"sweep": _SWEEP_X1,
     ({"theta": math.pi / 3}, _SWEEP_BOTH, 6),
     # unless each atom has its own pump amplitude
     ({"theta": math.pi / 3, "omega_n": [1.0, 0.5]}, _SWEEP_BOTH, 9),
+    # at pi/2 each atom folds on its own: 5/8 is the mirror image of 3/8,
+    # leaving the unordered pairs of {1/8, 3/8}.  At (1/8, 3/8) the atoms
+    # cancel each other's field; delta 10 keeps mean_n there at 3e-4, so
+    # g2 = <n(n-1)>/mean_n^2 resolves to 1e-9 (at delta 100 mean_n is 2e-8,
+    # and g2 of equal systems differs by 3e-8, swap alone included)
+    ({"theta": math.pi / 2, "delta": 10.0}, _SWEEP_BOTH, 3),
 ], ids=["theta_pi_2", "theta_pi_3", "theta_pi_3-swap",
-        "theta_pi_3-unequal_pump"])
+        "theta_pi_3-unequal_pump", "theta_pi_2-both"])
 def test_position_sweep_folds_only_equal_systems(
         tmp_path, monkeypatch, params, sweeps, solves):
     calls = _count_solves(monkeypatch)
@@ -452,7 +460,25 @@ def two_cores(monkeypatch):
     """Sweeps at two workers take the process path, whatever the machine."""
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("no fork start method: sweeps run serially")
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _cores(monkeypatch, 2)
+
+
+def _cores(monkeypatch, n: int) -> None:
+    """This process may run on n cores, by affinity where the platform
+    has it and by count where it does not."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+def test_cores_are_counted_by_affinity(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3},
+                        raising=False)
+    assert cli._usable_cores() == 2
+    # without an affinity call, the core count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._usable_cores() == 64
 
 
 def _record_pools(monkeypatch) -> list:
@@ -494,7 +520,7 @@ def test_process_count_is_bounded(tmp_path, monkeypatch, two_cores):
     assert run_config(cfg, n_workers=64).rows == serial.rows
     assert asked == [2]
     # nor than distinct systems: x2 and 1 - x2 fold, 4 systems for 7 rows
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    _cores(monkeypatch, 64)
     asked.clear()
     cfg = load_config(_write_cfg(tmp_path, {
         "mode": "steady", "n_max": 5, "sweep": _SWEEP_X2,
@@ -543,7 +569,7 @@ def test_worker_failure_gives_the_serial_rows(tmp_path, monkeypatch,
 
 
 def test_sweep_restores_the_blas_thread_count(two_cores):
-    controls = cli._blas_thread_controls()
+    controls = dynamics._blas_thread_controls()
     if not controls:
         pytest.skip("no OpenBLAS thread-count symbols in this process")
     original = [get() for get, _ in controls]

@@ -226,3 +226,65 @@ def test_truncation_escalation():
     sol = solve_steady(p, n_max=4)
     assert sol.escalations >= 1
     assert sol.n_max > 4
+
+
+def test_trace_row_matrix_matches_the_product_form():
+    p = SystemParams(positions=(0.0, 0.37), g0=10.0, omega=1.0, kappa=0.0,
+                     delta=0.0)
+    l = build_liouvillian(p, build_space(p, n_max=3))
+    dim, side = l.space.dim, l.matrix.shape[0]
+    trace_row = sp.csr_matrix((np.ones(dim), (np.zeros(dim, dtype=int),
+                                              np.arange(dim) * (dim + 1))),
+                              shape=(side, side))
+    reference = sp.diags(np.r_[0.0, np.ones(side - 1)]) @ l.matrix + trace_row
+    m = dynamics._trace_row_matrix(l.matrix, dim)
+    assert m.nnz == reference.nnz
+    assert abs(m - reference).max() == 0.0
+    assert not np.shares_memory(m.indices, l.matrix.indices)
+
+
+def test_observables_match_dense_expectations():
+    from drivencavity.operators import (annihilation, atomic_lowering,
+                                        expectation)
+    p = SystemParams(positions=(0.1, 0.3), g0=1.0, omega=1.0, kappa=0.4)
+    space = build_space(p, n_max=4)
+    rng = np.random.default_rng(5)
+    shape = (space.dim, space.dim)
+    m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    m = m @ m.conj().T
+    rho = DensityMatrix.from_matrix(space, m / np.trace(m).real)
+    obs = observables(rho, p)
+    a = annihilation(space)
+    n = expectation(a.dag() @ a, rho).real
+    assert obs.mean_n == pytest.approx(n, rel=1e-14)
+    assert obs.alpha == pytest.approx(expectation(a, rho), rel=1e-14)
+    n2 = expectation(a.dag() @ a.dag() @ a @ a, rho).real
+    assert obs.g2_zero == pytest.approx(n2 / n**2, rel=1e-14)
+    for k in range(2):
+        sig = atomic_lowering(space, k)
+        assert obs.pi_e_per_atom[k] == pytest.approx(
+            expectation(sig.dag() @ sig, rho).real, rel=1e-14)
+
+
+def test_solve_steady_runs_on_one_blas_thread(monkeypatch):
+    controls = dynamics._blas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread-count symbols in this process")
+    seen = []
+    real = dynamics.steady_state
+
+    def recorded(l):
+        seen.append([get() for get, _ in controls])
+        return real(l)
+
+    monkeypatch.setattr(dynamics, "steady_state", recorded)
+    original = [get() for get, _ in controls]
+    try:
+        for _, set_ in controls:
+            set_(2)
+        solve_steady(_params(), n_max=4)
+        assert seen and seen == [[1] * len(controls)] * len(seen)
+        assert [get() for get, _ in controls] == [2] * len(controls)
+    finally:
+        for (_, set_), n in zip(controls, original):
+            set_(n)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from drivencavity.model import (
     NodePositionError,
@@ -13,8 +14,14 @@ from drivencavity.model import (
     build_space,
     coupling_profile,
     free_space_fluorescence,
+    term_plan,
 )
-from drivencavity.operators import DensityMatrix, basis_state, coherent_state
+from drivencavity.operators import (
+    annihilation,
+    atomic_lowering,
+    basis_state,
+    coherent_state,
+)
 
 
 def _params(**kw):
@@ -140,3 +147,102 @@ def test_params_validation():
     with pytest.raises(ValueError):
         SystemParams(positions=(0.0,), g0=1.0, omega=1.0, kappa=0.0,
                      omega_n=(1.0, 2.0))
+
+
+def _reference(params, space):
+    """(H, h_eff, L) from Kronecker products of the full operators."""
+    prof = coupling_profile(params)
+    a = annihilation(space).entries
+    h = -params.delta_c * (a.conj().T @ a)
+    collapses = []
+    for n in range(params.n_atoms):
+        sig = atomic_lowering(space, n).entries
+        drive = params.pump_amplitudes[n] * np.exp(1j * prof.phi_n[n])
+        h = (h - params.delta * (sig.conj().T @ sig)
+             + prof.g_n[n] * (a @ sig.conj().T + a.conj().T @ sig)
+             + drive * sig.conj().T + np.conj(drive) * sig)
+        collapses.append((params.gamma, sig))
+    if params.kappa != 0:
+        collapses.append((params.kappa, a))
+    h_eff = h.copy()
+    for rate, c in collapses:
+        h_eff = h_eff - 0.5j * rate * (c.conj().T @ c)
+    hs = sp.csr_matrix(h_eff)
+    eye = sp.identity(space.dim, dtype=complex, format="csr")
+    lmat = -1j * (sp.kron(hs, eye, format="csr")
+                  - sp.kron(eye, hs.conj(), format="csr"))
+    for rate, c in collapses:
+        c = sp.csr_matrix(c)
+        lmat = lmat + rate * sp.kron(c, c.conj(), format="csr")
+    return h, h_eff, lmat.tocsr()
+
+
+def _assert_matches_reference(params, space):
+    h, h_eff, lmat = _reference(params, space)
+    l = build_liouvillian(params, space)
+    assert l.matrix.nnz == lmat.nnz
+    assert abs(l.matrix - lmat).max() <= 1e-14 * max(1.0, abs(lmat).max())
+    assert (np.abs(l.h_eff - h_eff).max()
+            <= 1e-14 * max(1.0, np.abs(h_eff).max()))
+    h_plan = build_hamiltonian(params, space).entries
+    assert np.abs(h_plan - h).max() <= 1e-14 * max(1.0, np.abs(h).max())
+
+
+@pytest.mark.parametrize("params, n_max", [
+    (SystemParams(positions=(0.1,), g0=1.0, omega=1.0, kappa=0.5), 6),
+    (SystemParams(positions=(0.0,), g0=2.0, omega=0.7, kappa=0.0,
+                  delta=0.0, delta_c=0.0), 5),
+    (SystemParams(positions=(0.0, 0.37), g0=10.0, omega=1.0, kappa=0.2,
+                  delta=100.0), 11),
+    (SystemParams(positions=(0.25, 0.6), g0=1.0, omega=1.0, kappa=0.0,
+                  delta=0.0, delta_c=0.0), 4),
+    (SystemParams(positions=(0.1, 0.3, 0.7), g0=2.0, omega=1.0, kappa=0.3,
+                  delta=0.3, delta_c=-0.2, theta=1.0,
+                  omega_n=(1.0, 0.5, 0.2)), 3),
+    (SystemParams(positions=(0.0, 1 / 3, 0.75), g0=1.0, omega=1.0,
+                  kappa=0.0, delta=0.0, delta_c=0.0, theta=0.4), 3),
+], ids=["1atom", "1atom-kappa0-resonant", "2atoms-fig8",
+        "2atoms-node-kappa0", "3atoms-theta1-unequal-pump",
+        "3atoms-node-kappa0-theta"])
+def test_plan_matches_kronecker_reference(params, n_max):
+    _assert_matches_reference(params, build_space(params, n_max))
+
+
+def test_plan_serves_kappa_zero_then_positive():
+    zero = SystemParams(positions=(0.0, 0.37), g0=10.0, omega=1.0,
+                        kappa=0.0, delta=0.0, delta_c=0.0)
+    space = build_space(zero, n_max=4)
+    _assert_matches_reference(zero, space)
+    _assert_matches_reference(
+        SystemParams(positions=(0.0, 0.37), g0=10.0, omega=1.0, kappa=0.2),
+        space)
+
+
+def test_mutating_a_built_matrix_leaves_the_next_build():
+    p = SystemParams(positions=(0.1, 0.4), g0=1.0, omega=1.0, kappa=0.0,
+                     delta=0.0, delta_c=0.0)
+    space = build_space(p, n_max=3)
+    first = build_liouvillian(p, space)
+    expected = first.matrix.copy()
+    first.matrix.data[:] = 0.0
+    first.matrix.eliminate_zeros()
+    first.matrix.indices[:] = 0
+    first.h_eff[:] = np.nan
+    build_hamiltonian(p, space).entries[:] = np.nan
+    again = build_liouvillian(p, space)
+    assert again.matrix.nnz == expected.nnz
+    assert abs(again.matrix - expected).max() == 0.0
+    assert np.isfinite(again.h_eff).all()
+    _assert_matches_reference(p, space)
+
+
+def test_cached_plan_is_read_only():
+    plan = term_plan(build_space(_params(), n_max=2))
+    arrays = [plan.h_rows, plan.h_cols, plan.h_terms, plan.l_indices,
+              plan.l_indptr, plan.left, plan.right, *plan.jumps]
+    for op in plan.operators + plan.collapses:
+        arrays += [op.row, op.col, op.data]
+    for array in arrays:
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        plan.operators[0].data[0] = 1.0
