@@ -6,6 +6,8 @@ import contextlib
 import ctypes
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -226,27 +228,23 @@ def evolve(rho0: DensityMatrix, l: Superoperator, t_final: float,
     return DensityMatrix.from_matrix(l.space, (m + m.conj().T) / 2, check=False)
 
 
-def _expect(op: sp.coo_matrix, rho: DensityMatrix) -> complex:
-    """Tr(op rho) for a sparse op."""
-    return complex(op.data @ rho.entries[op.col, op.row])
-
-
 def observables(rho: DensityMatrix, params: SystemParams) -> ObservableSet:
     plan = term_plan(rho.space)
-    # a^dag a is diagonal, and a^dag a^dag a a = a^dag a (a^dag a - 1)
-    number = plan.operators[0]
-    populations = rho.entries[number.row, number.col].real
-    mean_n = number.data @ populations
-    alpha = _expect(plan.collapses[-1], rho)
-    # sig_n^dag sig_n, the decay term of each atom's collapse
-    pi_e = np.array([_expect(plan.operators[k], rho).real
-                     for k in plan.decay_terms[:-1]])
+    # Tr(op rho) is the sum of op[i, j] rho[j, i] over op's entries
+    at_terms = rho.entries[plan.h_cols, plan.h_rows]
+    traces = at_terms @ plan.h_terms
+    mean_n = traces[plan.number].real
+    a = plan.annihilation
+    alpha = complex(a.data @ rho.entries[a.col, a.row])
+    pi_e = traces[plan.atom_populations].real
     i_at_per_atom = params.gamma * pi_e
     g2: float | None
     if mean_n < G2_DEFINED_THRESHOLD:
         g2 = None
     else:
-        n2 = (number.data * (number.data - 1)) @ populations
+        # a^dag a is diagonal, and a^dag a^dag a a = a^dag a (a^dag a - 1)
+        n = plan.h_terms[:, plan.number]
+        n2 = ((n * (n - 1)) @ at_terms).real
         g2 = n2 / mean_n**2
     return ObservableSet(
         i_at_per_atom=i_at_per_atom,
@@ -290,23 +288,43 @@ def _blas_thread_controls() -> tuple:
     return tuple(controls)
 
 
+# how many _one_blas_thread blocks are open, and the counts the first saved
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved: list[int] = []
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=_blas_lock.acquire,
+                        after_in_parent=_blas_lock.release,
+                        after_in_child=_blas_lock.release)
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
     """Each OpenBLAS copy on one thread inside, on its old count after.
 
     The matrices of one point are small: a BLAS thread pool costs more
     than it saves, and across workers it oversubscribes the cores.  Forked
-    workers inherit the setting.
+    workers inherit the setting.  The count is process-wide: blocks may
+    nest or overlap across threads, the first to open saves the count and
+    the last to close restores it, and numpy work in other threads runs on
+    one BLAS thread meanwhile.
     """
+    global _blas_depth, _blas_saved
     controls = _blas_thread_controls()
-    old = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(1)
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = [get() for get, _ in controls]
+            for _, set_ in controls:
+                set_(1)
+        _blas_depth += 1
     try:
         yield
     finally:
-        for (_, set_), n in zip(controls, old):
-            set_(n)
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for (_, set_), n in zip(controls, _blas_saved):
+                    set_(n)
 
 
 def solve_steady(params: SystemParams, n_max: int | None = None) -> SteadySolution:
@@ -314,7 +332,8 @@ def solve_steady(params: SystemParams, n_max: int | None = None) -> SteadySoluti
 
     The top two Fock populations must stay below TAIL_POPULATION_LIMIT;
     otherwise n_max grows by 50% (at most three times).  Runs with each
-    OpenBLAS copy on one thread.
+    OpenBLAS copy on one thread, which holds for the whole process while
+    the solve runs (see _one_blas_thread).
     """
     with _one_blas_thread():
         current = n_max if n_max is not None else default_n_max(params)

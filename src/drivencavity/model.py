@@ -117,28 +117,25 @@ def build_space(params: SystemParams, n_max: int | None = None) -> SpaceDescript
 class TermPlan:
     """The model's terms on one space, and where they land in L.
 
-    operators are the real matrices that the coefficients of H and h_eff
-    multiply: a^dag a, then for each atom n sig_n^dag sig_n,
-    a sig_n^dag + a^dag sig_n, sig_n^dag and sig_n.  collapses are sig_n
-    for each atom, then a; decay_terms is the index of c^dag c among the
-    operators for each collapse c.  All are real COO matrices.
+    The columns of h_terms are the real matrices that the coefficients of
+    H and h_eff multiply: a^dag a (column `number`), then for each atom n
+    sig_n^dag sig_n (column atom_populations[n]), a sig_n^dag + a^dag sig_n,
+    sig_n^dag and sig_n.  h_rows, h_cols is the union pattern of those
+    matrices, and h_terms (pattern entry x term) gives their entries there,
+    so a combination is h_terms @ coefficients.  collapses are the jump
+    operators as real COO matrices: sig_n for each atom, then a.
 
-    h_rows, h_cols is the union pattern of the operators, and h_terms
-    (pattern entry x operator) gives the matrix entries there as
-    h_terms @ coefficients.  l_indices, l_indptr is the CSR pattern of L,
-    the union of h (x) 1, 1 (x) h* and every c (x) c; l_indices is kept in
-    the smallest unsigned type that holds a column (uint16 to dim 256).
-    left, right and jumps hold the position in it of each entry of those
-    terms, in the order of np.repeat(h, dim), np.tile(h*, dim) and
-    np.outer(c, c).ravel().
+    l_indices, l_indptr is the CSR pattern of L, the union of h (x) 1,
+    1 (x) h* and every c (x) c; l_indices is kept in the smallest unsigned
+    type that holds a column (uint16 to dim 256).  left, right and jumps
+    hold the position in it of each entry of those terms, in the order of
+    np.repeat(h, dim), np.tile(h*, dim) and np.outer(c, c).ravel().
 
     Every array is read-only; a built matrix takes copies.
     """
 
     space: SpaceDescriptor
-    operators: tuple[sp.coo_matrix, ...] = field(repr=False)
     collapses: tuple[sp.coo_matrix, ...] = field(repr=False)
-    decay_terms: tuple[int, ...]
     h_rows: np.ndarray = field(repr=False)
     h_cols: np.ndarray = field(repr=False)
     h_terms: np.ndarray = field(repr=False)
@@ -148,8 +145,24 @@ class TermPlan:
     right: np.ndarray = field(repr=False)
     jumps: tuple[np.ndarray, ...] = field(repr=False)
 
+    number = 0  # the h_terms column of a^dag a
+
+    @property
+    def atom_populations(self) -> list[int]:
+        """The h_terms column of sig_n^dag sig_n, for each atom n."""
+        return [1 + 4 * n for n in range(self.space.n_atoms)]
+
+    @property
+    def annihilation(self) -> sp.coo_matrix:
+        return self.collapses[-1]
+
+    @property
+    def decay_terms(self) -> list[int]:
+        """The h_terms column of c^dag c, for each of collapses."""
+        return self.atom_populations + [self.number]
+
     def dense(self, coefficients: np.ndarray) -> np.ndarray:
-        """sum_k coefficients[k] operators[k] as a new dense matrix."""
+        """sum_k coefficients[k] (term k) as a new dense matrix."""
         dim = self.space.dim
         h = np.zeros((dim, dim), dtype=complex)
         h[self.h_rows, self.h_cols] = self.h_terms @ coefficients
@@ -181,24 +194,24 @@ def term_plan(space: SpaceDescriptor) -> TermPlan:
     h_rows, h_cols = np.nonzero(np.any([op != 0 for op in dense], axis=0))
     h_terms = np.stack([op[h_rows, h_cols] for op in dense], axis=1)
 
-    # every entry of every term as a key row * side + col into L
-    step = np.arange(dim)
+    # every entry of every term as a key row * side + col into L; the keys
+    # reach dim**4, past int32 from dim 216
+    step = np.arange(dim, dtype=np.int64)
     keys = [((h_rows * dim * side + h_cols * dim)[:, None]
              + step * (side + 1)).ravel(),
             (step[:, None] * (dim * side + dim)
              + h_rows * side + h_cols).ravel()]
     for c in collapses:
-        keys.append(((c.row * dim * side + c.col * dim)[:, None]
-                     + c.row * side + c.col).ravel())
+        row, col = c.row.astype(np.int64), c.col.astype(np.int64)
+        keys.append(((row * dim * side + col * dim)[:, None]
+                     + row * side + col).ravel())
     pattern, where = np.unique(np.concatenate(keys), return_inverse=True)
     where = where.astype(np.int32)
     indptr = np.searchsorted(pattern, np.arange(side + 1) * side)
     destinations = np.split(where, np.cumsum([k.size for k in keys])[:-1])
     plan = TermPlan(
         space=space,
-        operators=tuple(_real_coo(op) for op in dense),
         collapses=tuple(collapses),
-        decay_terms=tuple(1 + 4 * n for n in range(space.n_atoms)) + (0,),
         h_rows=h_rows, h_cols=h_cols, h_terms=h_terms,
         l_indices=(pattern % side).astype(np.min_scalar_type(side - 1)),
         l_indptr=indptr.astype(np.int32),
@@ -211,7 +224,7 @@ def term_plan(space: SpaceDescriptor) -> TermPlan:
 
 def _hamiltonian_coefficients(params: SystemParams,
                               space: SpaceDescriptor) -> np.ndarray:
-    """The coefficient of each of term_plan(space).operators in H."""
+    """The coefficient of each term of term_plan(space) in H."""
     if space.n_atoms != params.n_atoms:
         raise SpaceMismatchError("space atom count does not match params")
     prof = coupling_profile(params)

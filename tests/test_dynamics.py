@@ -288,3 +288,24 @@ def test_solve_steady_runs_on_one_blas_thread(monkeypatch):
     finally:
         for (_, set_), n in zip(controls, original):
             set_(n)
+
+
+def test_overlapping_blas_blocks_restore_the_count():
+    controls = dynamics._blas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread-count symbols in this process")
+    original = [get() for get, _ in controls]
+    first, second = dynamics._one_blas_thread(), dynamics._one_blas_thread()
+    try:
+        for _, set_ in controls:
+            set_(2)
+        # two solves in two threads: the first to start ends first
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        assert [get() for get, _ in controls] == [1] * len(controls)
+        second.__exit__(None, None, None)
+        assert [get() for get, _ in controls] == [2] * len(controls)
+    finally:
+        for (_, set_), n in zip(controls, original):
+            set_(n)

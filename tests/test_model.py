@@ -201,9 +201,11 @@ def _assert_matches_reference(params, space):
                   omega_n=(1.0, 0.5, 0.2)), 3),
     (SystemParams(positions=(0.0, 1 / 3, 0.75), g0=1.0, omega=1.0,
                   kappa=0.0, delta=0.0, delta_c=0.0, theta=0.4), 3),
+    # dim 222: the entry keys row * dim**3 + ... pass 2**31
+    (SystemParams(positions=(0.1,), g0=1.0, omega=8.0, kappa=0.5), 110),
 ], ids=["1atom", "1atom-kappa0-resonant", "2atoms-fig8",
         "2atoms-node-kappa0", "3atoms-theta1-unequal-pump",
-        "3atoms-node-kappa0-theta"])
+        "3atoms-node-kappa0-theta", "1atom-dim222"])
 def test_plan_matches_kronecker_reference(params, n_max):
     _assert_matches_reference(params, build_space(params, n_max))
 
@@ -240,9 +242,9 @@ def test_cached_plan_is_read_only():
     plan = term_plan(build_space(_params(), n_max=2))
     arrays = [plan.h_rows, plan.h_cols, plan.h_terms, plan.l_indices,
               plan.l_indptr, plan.left, plan.right, *plan.jumps]
-    for op in plan.operators + plan.collapses:
+    for op in plan.collapses:
         arrays += [op.row, op.col, op.data]
     for array in arrays:
         assert not array.flags.writeable
     with pytest.raises(ValueError):
-        plan.operators[0].data[0] = 1.0
+        plan.collapses[0].data[0] = 1.0
