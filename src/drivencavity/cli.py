@@ -20,12 +20,13 @@ import multiprocessing
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .collective import PatternSpec, excited_population, in_phase_alpha
+from .collective import (PatternSpec, emission_rates, excited_population,
+                         in_phase_alpha)
 from .dynamics import (_one_blas_thread, evolve, ground_state, observables,
                        solve_steady)
 from .figures import PRESETS, Preset, preset_names
@@ -51,13 +52,24 @@ class ConfigError(ValueError):
 _PARAM_KEYS = {"positions", "g0", "omega", "kappa", "delta", "delta_c",
                "theta", "gamma", "omega_n"}
 _SWEEP_KEYS = {"param", "start", "stop", "points", "scale"}
-_TOP_KEYS = {"mode", "params", "sweep", "sweep2", "output", "n_workers",
-             "probe", "stark", "pattern", "evolve", "n_max", "figure",
-             "points"}
-_MODES = {"steady", "evolve", "spectrum", "stark", "collective", "figure"}
-# a figure runs its preset; every other key would go unread, as "figure"
-# and "points" would in the other modes
-_FIGURE_KEYS = {"mode", "figure", "output", "n_workers", "points"}
+_COMMON_KEYS = {"mode", "output", "n_workers"}
+# a figure runs its preset; a point mode reads its params, sweeps and the
+# entries of _SECTIONS.  Any other key would go unread, so it is an error.
+_FIGURE_KEYS = _COMMON_KEYS | {"figure", "points"}
+_POINT_KEYS = _COMMON_KEYS | {"params", "sweep", "sweep2"}
+
+# What each point mode reads besides params: its sections, each setting
+# with its default (a pattern's n_atoms defaults to the atoms in params),
+# and "n_max" for the modes that solve a truncated master equation.  A
+# setting's point key and sweep name is its key within its section.
+_SECTIONS = {
+    "steady": {"n_max": None},
+    "evolve": {"n_max": None, "evolve": {"t_final": 10.0}},
+    "spectrum": {"probe": {"omega_p": 1e-3, "delta_p": 0.0}},
+    "stark": {"n_max": None, "stark": {"x_probe": 0.25, "delta_2": 1000.0}},
+    "collective": {"pattern": {"n_atoms": None, "parity": 0}},
+}
+_MODES = set(_SECTIONS) | {"figure"}
 
 # sweepable scalars, per mode
 _SWEEPABLE = {
@@ -98,15 +110,6 @@ def _numbers(values, where: str) -> tuple[float, ...]:
     if not isinstance(values, list):
         raise ConfigError(f"{where} must be a list of numbers, got {values!r}")
     return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(values))
-
-
-def _section(raw: dict, name: str, defaults: dict) -> dict:
-    """An optional section of numbers, each of its default's type."""
-    section = raw.get(name, {})
-    _require_keys(section, set(defaults), name)
-    return {key: _number(section.get(key, default), f"{name}.{key}",
-                         type(default))
-            for key, default in defaults.items()}
 
 
 def _count_or_none(value, where: str) -> int | None:
@@ -159,16 +162,16 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    _require_keys(raw, _TOP_KEYS, "config")
 
     mode = raw.get("mode")
     if not isinstance(mode, str) or mode not in _MODES:
         raise ConfigError(f"mode must be one of {sorted(_MODES)}")
+    _require_keys(raw, _FIGURE_KEYS if mode == "figure"
+                  else _POINT_KEYS | set(_SECTIONS[mode]), f"a {mode} config")
 
     cfg = {
         "mode": mode,
         "n_workers": _number(raw.get("n_workers", 1), "n_workers", int),
-        "n_max": _count_or_none(raw.get("n_max"), "n_max"),
     }
     if cfg["n_workers"] < 1:
         raise ConfigError("n_workers must be >= 1")
@@ -181,7 +184,6 @@ def load_config(path: str) -> dict:
         raise ConfigError("output.format must be 'csv' or 'json'")
 
     if mode == "figure":
-        _require_keys(raw, _FIGURE_KEYS, "a figure config")
         name = raw.get("figure")
         if name not in preset_names():
             raise ConfigError(
@@ -189,7 +191,6 @@ def load_config(path: str) -> dict:
         cfg["figure"] = name
         cfg["points"] = _count_or_none(raw.get("points"), "points")
         return cfg
-    _require_keys(raw, _TOP_KEYS - {"figure", "points"}, f"a {mode} config")
 
     params_raw = raw.get("params")
     if not isinstance(params_raw, dict):
@@ -205,7 +206,7 @@ def load_config(path: str) -> dict:
         base = SystemParams(**fields)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid params: {exc}") from None
-    cfg.update(_settings(raw, base), params=base)
+    cfg.update(_settings(raw, mode, base), params=base)
     _check_point(cfg)
 
     for which in ("sweep", "sweep2"):
@@ -219,27 +220,35 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _settings(raw: dict, params: SystemParams) -> dict:
-    """Mode settings from raw's optional sections, or their defaults."""
-    probe = _section(raw, "probe", {"omega_p": 1e-3, "delta_p": 0.0})
-    stark = _section(raw, "stark", {"x_probe": 0.25, "delta_2": 1000.0})
-    pattern = _section(raw, "pattern", {"n_atoms": params.n_atoms, "parity": 0})
-    return dict(probe_omega_p=probe["omega_p"], probe_delta_p=probe["delta_p"],
-                x_probe=stark["x_probe"], delta_2=stark["delta_2"],
-                pattern_n=pattern["n_atoms"], pattern_parity=pattern["parity"],
-                t_final=_section(raw, "evolve", {"t_final": 10.0})["t_final"])
+def _settings(raw: dict, mode: str, params: SystemParams) -> dict:
+    """The point keys of mode's _SECTIONS entries: raw's values, else their
+    defaults."""
+    settings = {}
+    for name, defaults in _SECTIONS[mode].items():
+        if name == "n_max":
+            settings["n_max"] = _count_or_none(raw.get("n_max"), "n_max")
+            continue
+        section = raw.get(name, {})
+        _require_keys(section, set(defaults), name)
+        for key, default in defaults.items():
+            if default is None:  # a pattern's n_atoms
+                default = params.n_atoms
+            settings[key] = _number(section.get(key, default),
+                                    f"{name}.{key}", type(default))
+    return settings
 
 
 def _check_point(point: dict) -> None:
     """The rules every point config obeys, base and swept values alike."""
-    if point["mode"] == "stark" and point["delta_2"] == 0:
+    mode = point["mode"]
+    if mode == "stark" and point["delta_2"] == 0:
         raise ConfigError("stark.delta_2 must be nonzero")
-    if point["mode"] == "collective":
+    if mode == "collective":
         try:
-            PatternSpec(point["pattern_n"], point["pattern_parity"])
+            PatternSpec(point["n_atoms"], point["parity"])
         except ValueError as exc:
             raise ConfigError(f"invalid pattern: {exc}") from None
-    if point["t_final"] < 0:
+    if mode == "evolve" and point["t_final"] < 0:
         raise ConfigError("evolve.t_final must be >= 0")
 
 
@@ -273,31 +282,18 @@ def _grid(cfg: dict, axes: list) -> list[tuple[dict, dict]]:
 # --------------------------------------------------------------- running ---
 
 def _apply(cfg: dict, assignments: dict) -> dict:
-    """New point-config with swept values substituted."""
-    point = dict(cfg)
-    params = cfg["params"]
-    fields = {"positions": list(params.positions), "g0": params.g0,
-              "omega": params.omega, "kappa": params.kappa,
-              "delta": params.delta, "delta_c": params.delta_c,
-              "theta": params.theta, "gamma": params.gamma,
-              "omega_n": params.omega_n}
+    """New point-config with swept values substituted: a position[i] or a
+    params field goes to the params, any other name is a point key."""
+    point, fields = dict(cfg), {}
+    positions = list(cfg["params"].positions)
     for name, value in assignments.items():
         if name.startswith("position["):
-            fields["positions"][int(name[len("position["):-1])] = value
-        elif name == "t_final":
-            point["t_final"] = value
-        elif name == "delta_p":
-            point["probe_delta_p"] = value
-        elif name == "x_probe":
-            point["x_probe"] = value
-        elif name == "delta_2":
-            point["delta_2"] = value
-        elif name == "n_atoms":
-            point["pattern_n"] = value
-        else:
+            positions[int(name[len("position["):-1])] = value
+        elif name in _PARAM_KEYS:
             fields[name] = value
-    fields["positions"] = tuple(fields["positions"])
-    point["params"] = SystemParams(**fields)
+        else:
+            point[name] = value
+    point["params"] = replace(cfg["params"], positions=positions, **fields)
     return point
 
 
@@ -326,10 +322,10 @@ def _echo(point: dict) -> dict:
 
 
 @functools.lru_cache(maxsize=256)
-def _steady_alpha(params: SystemParams) -> complex:
+def _steady_alpha(params: SystemParams, n_max: int | None) -> complex:
     """<a> in the steady state; a stark sweep solves each system once in
     each worker process."""
-    sol = solve_steady(params)
+    sol = solve_steady(params, n_max=n_max)
     return observables(sol.rho, params).alpha
 
 
@@ -348,19 +344,19 @@ def _run_point(point: dict) -> dict:
         obs = observables(rho, params)
         return _obs_quantities(obs, space.n_max, NAN)
     if mode == "spectrum":
-        probe = ProbeParams(omega_p_tilde=point["probe_omega_p"])
-        return {"w": excitation_spectrum(point["probe_delta_p"], params,
-                                         probe)}
+        probe = ProbeParams(omega_p_tilde=point["omega_p"])
+        return {"w": excitation_spectrum(point["delta_p"], params, probe)}
     if mode == "stark":
+        alpha = _steady_alpha(params, point["n_max"])
         return {"shift": probe_stark_shift(point["x_probe"], point["delta_2"],
-                                           params, _steady_alpha(params))}
+                                           params, alpha)}
     # collective
-    pattern = PatternSpec(point["pattern_n"], point["pattern_parity"])
+    pattern = PatternSpec(point["n_atoms"], point["parity"])
     alpha = in_phase_alpha(pattern, params)
-    pi_e = excited_population(pattern, params)
+    i_cav, i_at = emission_rates(pattern, params)
     return {"re_alpha": alpha.real, "im_alpha": alpha.imag,
-            "mean_n": abs(alpha) ** 2, "i_cav": params.kappa * abs(alpha) ** 2,
-            "i_at": pattern.n_atoms * params.gamma * pi_e, "pi_e": pi_e}
+            "mean_n": abs(alpha) ** 2, "i_cav": i_cav, "i_at": i_at,
+            "pi_e": excited_population(pattern, params)}
 
 
 _MODE_COLUMNS = {
@@ -549,8 +545,8 @@ def run_config(cfg: dict, n_workers: int | None = None) -> SweepResult:
 
 def _run_preset(preset: Preset, points: int | None,
                 n_workers: int | None, **metadata) -> SweepResult:
-    cfg = dict(mode=preset.mode, params=preset.params, n_max=None,
-               **_settings({}, preset.params))
+    cfg = dict(mode=preset.mode, params=preset.params,
+               **_settings({}, preset.mode, preset.params))
     grid = _grid(cfg, [(name, values(points)) for name, values in preset.axes])
     rows, failed = _sweep(grid, list(preset.columns.values()), n_workers,
                           preset.diagonal)

@@ -90,11 +90,9 @@ def effective_field_params(params: SystemParams) -> EffectiveFieldParams:
     )
 
 
-def adiabatic_alpha(params: SystemParams,
-                    eff: EffectiveFieldParams | None = None) -> complex:
+def adiabatic_alpha(params: SystemParams) -> complex:
     """Steady coherent amplitude of the eliminated-atom field equation."""
-    if eff is None:
-        eff = effective_field_params(params)
+    eff = effective_field_params(params)
     if not eff.regime_valid:
         warnings.warn("atoms are not driven well below saturation",
                       RegimeWarning, stacklevel=2)
@@ -219,14 +217,3 @@ def restoring_coefficient(pattern: PatternSpec, params: SystemParams) -> float:
     return 2 * HBAR * K_WAVENUMBER ** 2 * (params.omega / params.g0) ** 2 \
         * params.delta_c / pattern.n_atoms
 
-
-def pattern_field(x: float, params: SystemParams) -> complex:
-    """Value of the interference-cancelling amplitude -Omega e^{i phi(x)}/g(x)
-    at position x; constant on lambda-periodic patterns when the pump is
-    perpendicular to the cavity axis.
-    """
-    g = params.g0 * math.cos(K_WAVENUMBER * x)
-    if g == 0:
-        raise ValueError("position is at a node of the cavity mode")
-    phi = K_WAVENUMBER * x * math.cos(params.theta)
-    return -params.omega * np.exp(1j * phi) / g

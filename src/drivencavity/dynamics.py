@@ -203,9 +203,10 @@ def _gmres(m, rhs, precondition, rtol: float, max_cycles: int = 10):
     return x
 
 
-def evolve(rho0: DensityMatrix, l: Superoperator, t_final: float,
-           rtol: float = 1e-10, atol: float = 1e-12) -> DensityMatrix:
-    """Integrate d rho/dt = L rho with an adaptive explicit stepper."""
+def evolve(rho0: DensityMatrix, l: Superoperator,
+           t_final: float) -> DensityMatrix:
+    """Integrate d rho/dt = L rho with an adaptive explicit stepper, to
+    relative tolerance 1e-10 and absolute tolerance 1e-12."""
     if t_final == 0:
         return rho0
     lmat = l.matrix
@@ -214,8 +215,8 @@ def evolve(rho0: DensityMatrix, l: Superoperator, t_final: float,
         (0.0, float(t_final)),
         rho0.entries.reshape(-1).astype(complex),
         method="DOP853",
-        rtol=rtol,
-        atol=atol,
+        rtol=1e-10,
+        atol=1e-12,
         dense_output=False,
     )
     if not sol.success:
@@ -225,7 +226,7 @@ def evolve(rho0: DensityMatrix, l: Superoperator, t_final: float,
     trace_drift = abs(np.trace(m) - 1.0)
     if trace_drift > 1e-9:
         raise RuntimeError(f"trace drift {trace_drift:.3e} exceeds 1e-9")
-    return DensityMatrix.from_matrix(l.space, (m + m.conj().T) / 2, check=False)
+    return DensityMatrix.from_matrix(l.space, m, check=False)
 
 
 def observables(rho: DensityMatrix, params: SystemParams) -> ObservableSet:

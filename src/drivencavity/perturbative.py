@@ -139,7 +139,6 @@ class PerturbativeState:
     def assemble(self, kappa: float | None = None) -> DensityMatrix:
         k = self.kappa if kappa is None else kappa
         m = sum(k**l * term for l, term in enumerate(self.rho_terms))
-        m = (m + m.conj().T) / 2
         return DensityMatrix.from_matrix(self.space, m, check=False)
 
 

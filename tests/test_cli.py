@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from drivencavity import cli, dynamics
+from drivencavity.collective import PatternSpec, in_phase_alpha
 from drivencavity.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -25,6 +26,9 @@ from drivencavity.cli import (
     write_csv,
 )
 from drivencavity.figures import PRESETS, preset_names
+from drivencavity.model import build_liouvillian, build_space
+from drivencavity.spectrum import (ProbeParams, excitation_spectrum,
+                                   probe_stark_shift)
 
 
 def _write_cfg(tmp_path, payload, name="cfg.json"):
@@ -111,6 +115,14 @@ def test_sweep_validation(tmp_path, sweep):
     # and no other mode reads a figure's keys
     {"points": 5},
     {"figure": "fig2a"},
+    # nor a section or n_max that its own mode does not read
+    {"probe": {"omega_p": 0.5}},
+    {"stark": {"x_probe": 0.1}},
+    {"pattern": {"n_atoms": 3}},
+    {"evolve": {"t_final": 2.0}},
+    {"mode": "collective", "n_max": 3},
+    {"mode": "collective", "n_max": 3, "evolve": {"t_final": 2.0}},
+    {"mode": "spectrum", "n_max": 3},
 ])
 def test_malformed_field_is_config_error(tmp_path, overrides):
     cfg = _write_cfg(tmp_path, dict({
@@ -304,6 +316,74 @@ def test_stark_sweep_solves_steady_state_once(tmp_path, monkeypatch):
     result = run_config(cfg)
     assert result.n_failed == 0 and len(result.rows) == 10
     assert len(calls) == 1
+
+
+def test_stark_mode_solves_at_the_config_n_max(tmp_path, monkeypatch):
+    asked = []
+    real = cli.solve_steady
+
+    def spied(params, n_max=None):
+        asked.append(n_max)
+        return real(params, n_max=n_max)
+
+    monkeypatch.setattr(cli, "solve_steady", spied)
+    cli._steady_alpha.cache_clear()
+    cfg = load_config(_write_cfg(tmp_path, {
+        "mode": "stark", "n_max": 4,
+        "params": dict(BASE_PARAMS, g0=1.0, kappa=1.0)}))
+    assert run_config(cfg).n_failed == 0
+    assert asked == [4]
+
+
+def _library_row(mode: str, point: dict) -> dict:
+    """The quantities of one point, straight from the library."""
+    params = point["params"]
+    if mode == "spectrum":
+        return {"w": excitation_spectrum(point["delta_p"], params,
+                                         ProbeParams(point["omega_p"]))}
+    if mode == "stark":
+        sol = dynamics.solve_steady(params, n_max=point["n_max"])
+        alpha = dynamics.observables(sol.rho, params).alpha
+        return {"shift": probe_stark_shift(point["x_probe"],
+                                           point["delta_2"], params, alpha)}
+    if mode == "evolve":
+        space = build_space(params, point["n_max"])
+        rho = dynamics.evolve(dynamics.ground_state(space),
+                              build_liouvillian(params, space),
+                              point["t_final"])
+        obs = dynamics.observables(rho, params)
+        return {"i_at": obs.i_at_total, "mean_n": obs.mean_n,
+                "re_alpha": obs.alpha.real, "im_alpha": obs.alpha.imag}
+    alpha = in_phase_alpha(PatternSpec(point["n_atoms"], point["parity"]),
+                           params)
+    return {"re_alpha": alpha.real, "im_alpha": alpha.imag}
+
+
+@pytest.mark.parametrize("mode, params, name, start, stop", [
+    ("spectrum", {"g0": 1.0, "kappa": 0.0}, "delta_p", 0.5, 1.5),
+    ("stark", {"g0": 1.0, "kappa": 1.0}, "x_probe", 0.0, 0.2),
+    ("stark", {"g0": 1.0, "kappa": 1.0}, "delta_2", 100.0, 400.0),
+    ("evolve", {"g0": 1.0, "kappa": 1.0}, "t_final", 0.5, 1.5),
+    ("collective", {"g0": 0.1, "omega": 0.1, "kappa": 1.0}, "n_atoms", 2, 10),
+], ids=["spectrum-delta_p", "stark-x_probe", "stark-delta_2",
+        "evolve-t_final", "collective-n_atoms"])
+def test_swept_setting_reaches_its_quantity(tmp_path, mode, params, name,
+                                            start, stop):
+    # every swept value differs from the setting's default
+    cfg = load_config(_write_cfg(tmp_path, dict(
+        {"mode": mode, "params": dict(BASE_PARAMS, **params),
+         "sweep": {"param": name, "start": start, "stop": stop,
+                   "points": 3}},
+        **({"n_max": 4} if mode in ("stark", "evolve") else {}))))
+    result = run_config(cfg)
+    assert result.n_failed == 0
+    for (assignments, point), row in zip(cfg["grid"], result.rows,
+                                         strict=True):
+        values = dict(zip(result.columns, row))
+        assert values[name] == assignments[name] == point[name]
+        for quantity, expected in _library_row(mode, point).items():
+            assert values[quantity] == pytest.approx(expected, rel=1e-12), \
+                (assignments, quantity)
 
 
 def _count_solves(monkeypatch) -> list:

@@ -10,7 +10,6 @@ from drivencavity.collective import (
     excited_population,
     force_coefficients,
     in_phase_alpha,
-    pattern_field,
     restoring_coefficient,
     semiclassical_force,
 )
@@ -174,11 +173,6 @@ def test_emission_rates_consistent():
         p.kappa * abs(in_phase_alpha(pat, p)) ** 2)
     assert i_at == pytest.approx(
         100 * p.gamma * excited_population(pat, p))
-
-
-def test_pattern_field_is_wavelength_periodic():
-    p = _params(n=1, g0=1.0, omega=1.0)
-    assert pattern_field(0.1, p) == pytest.approx(pattern_field(1.1, p))
 
 
 def test_saturated_regime_warns():
