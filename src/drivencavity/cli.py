@@ -76,9 +76,10 @@ _SWEEPABLE = {
     "steady": {"kappa", "delta", "delta_c", "omega", "g0", "theta"},
     "evolve": {"kappa", "delta", "delta_c", "omega", "g0", "theta",
                "t_final"},
-    "spectrum": {"delta_p", "kappa", "delta", "delta_c", "omega", "g0"},
+    # the closed-form spectrum holds at kappa = delta_c = 0 only
+    "spectrum": {"delta_p", "delta", "omega", "g0"},
     "stark": {"x_probe", "delta_2", "kappa", "delta", "delta_c", "omega",
-              "g0"},
+              "g0", "theta"},
     "collective": {"n_atoms", "kappa", "delta", "delta_c", "omega", "g0"},
 }
 

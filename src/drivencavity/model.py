@@ -40,6 +40,7 @@ class SystemParams:
     positions are x_n in units of the wavelength; theta is the angle
     between pump propagation and the cavity axis; omega_n optionally
     gives per-atom pump amplitudes (defaults to a homogeneous omega).
+    A non-finite field, position or omega_n entry is a ValueError.
     """
 
     positions: tuple[float, ...]
@@ -54,6 +55,14 @@ class SystemParams:
 
     def __post_init__(self):
         object.__setattr__(self, "positions", tuple(float(x) for x in self.positions))
+        for name in ("positions", "g0", "omega", "kappa", "delta", "delta_c",
+                     "theta", "gamma", "omega_n"):
+            value = getattr(self, name)
+            if value is None:  # omega_n unset
+                continue
+            entries = value if name in ("positions", "omega_n") else (value,)
+            if not all(map(math.isfinite, entries)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.n_atoms < 1:
             raise ValueError("at least one atom is required")
         if self.kappa < 0:
@@ -266,12 +275,6 @@ def build_liouvillian(params: SystemParams, space: SpaceDescriptor) -> Superoper
                          shape=(space.dim**2, space.dim**2))
     lmat.eliminate_zeros()
     return Superoperator(space=space, matrix=lmat, h_eff=h_eff)
-
-
-def apply_superoperator(l: Superoperator, rho: np.ndarray) -> np.ndarray:
-    """d rho/dt as a matrix, for a matrix-valued rho."""
-    dim = l.space.dim
-    return (l.matrix @ rho.reshape(-1)).reshape(dim, dim)
 
 
 def beta_profile(x: float, params: SystemParams) -> complex:

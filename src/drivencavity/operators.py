@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.special
 
 
 class SpaceMismatchError(ValueError):
@@ -220,15 +219,4 @@ def fidelity_with_pure(rho: DensityMatrix, ket: np.ndarray) -> float:
     ket = np.asarray(ket, dtype=complex)
     ket = ket / np.linalg.norm(ket)
     return float(np.real(ket.conj() @ rho.entries @ ket))
-
-
-def poisson_pmf(nbar: float, n_max: int) -> np.ndarray:
-    """Poisson(nbar) probabilities on 0..n_max (reference for coherent states)."""
-    if nbar == 0:
-        p = np.zeros(n_max + 1)
-        p[0] = 1.0
-        return p
-    n = np.arange(0, n_max + 1)
-    logp = -nbar + n * math.log(nbar) - scipy.special.gammaln(n + 1)
-    return np.exp(logp)
 

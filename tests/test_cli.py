@@ -123,6 +123,11 @@ def test_sweep_validation(tmp_path, sweep):
     {"mode": "collective", "n_max": 3},
     {"mode": "collective", "n_max": 3, "evolve": {"t_final": 2.0}},
     {"mode": "spectrum", "n_max": 3},
+    # the closed-form spectrum is defined at kappa = delta_c = 0 only
+    {"mode": "spectrum", "params": dict(BASE_PARAMS, kappa=0.0),
+     "sweep": {"param": "kappa", "start": 0.01, "stop": 0.1, "points": 3}},
+    {"mode": "spectrum", "params": dict(BASE_PARAMS, kappa=0.0),
+     "sweep": {"param": "delta_c", "start": 0.5, "stop": 1.5, "points": 3}},
 ])
 def test_malformed_field_is_config_error(tmp_path, overrides):
     cfg = _write_cfg(tmp_path, dict({
@@ -359,31 +364,44 @@ def _library_row(mode: str, point: dict) -> dict:
     return {"re_alpha": alpha.real, "im_alpha": alpha.imag}
 
 
-@pytest.mark.parametrize("mode, params, name, start, stop", [
-    ("spectrum", {"g0": 1.0, "kappa": 0.0}, "delta_p", 0.5, 1.5),
-    ("stark", {"g0": 1.0, "kappa": 1.0}, "x_probe", 0.0, 0.2),
-    ("stark", {"g0": 1.0, "kappa": 1.0}, "delta_2", 100.0, 400.0),
-    ("evolve", {"g0": 1.0, "kappa": 1.0}, "t_final", 0.5, 1.5),
-    ("collective", {"g0": 0.1, "omega": 0.1, "kappa": 1.0}, "n_atoms", 2, 10),
+@pytest.mark.parametrize("mode, params, section, name, start, stop", [
+    ("spectrum", {"g0": 1.0, "kappa": 0.0}, {}, "delta_p", 0.5, 1.5),
+    ("stark", {"g0": 1.0, "kappa": 1.0}, {}, "x_probe", 0.0, 0.2),
+    ("stark", {"g0": 1.0, "kappa": 1.0}, {}, "delta_2", 100.0, 400.0),
+    ("evolve", {"g0": 1.0, "kappa": 1.0}, {}, "t_final", 0.5, 1.5),
+    ("collective", {"g0": 0.1, "omega": 0.1, "kappa": 1.0}, {}, "n_atoms",
+     2, 10),
+    # off x = 0 and off the probe's field node, the pump phases show
+    ("stark", {"g0": 1.0, "kappa": 1.0, "positions": [0.1]},
+     {"stark": {"x_probe": 0.1}}, "theta", 0.5, 1.5),
 ], ids=["spectrum-delta_p", "stark-x_probe", "stark-delta_2",
-        "evolve-t_final", "collective-n_atoms"])
-def test_swept_setting_reaches_its_quantity(tmp_path, mode, params, name,
-                                            start, stop):
+        "evolve-t_final", "collective-n_atoms", "stark-theta"])
+def test_swept_setting_reaches_its_quantity(tmp_path, mode, params, section,
+                                            name, start, stop):
     # every swept value differs from the setting's default
     cfg = load_config(_write_cfg(tmp_path, dict(
         {"mode": mode, "params": dict(BASE_PARAMS, **params),
          "sweep": {"param": name, "start": start, "stop": stop,
                    "points": 3}},
+        **section,
         **({"n_max": 4} if mode in ("stark", "evolve") else {}))))
     result = run_config(cfg)
     assert result.n_failed == 0
+    seen = set()
     for (assignments, point), row in zip(cfg["grid"], result.rows,
                                          strict=True):
         values = dict(zip(result.columns, row))
-        assert values[name] == assignments[name] == point[name]
-        for quantity, expected in _library_row(mode, point).items():
-            assert values[quantity] == pytest.approx(expected, rel=1e-12), \
+        # a params field is swept in the point's params
+        setting = point[name] if name in point else getattr(point["params"],
+                                                            name)
+        assert values[name] == assignments[name] == setting
+        expected = _library_row(mode, point)
+        for quantity in expected:
+            assert values[quantity] == pytest.approx(expected[quantity],
+                                                     rel=1e-12), \
                 (assignments, quantity)
+        seen.add(tuple(expected.values()))
+    assert len(seen) == len(result.rows)
 
 
 def _count_solves(monkeypatch) -> list:

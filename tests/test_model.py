@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from drivencavity.model import (
     NodePositionError,
     SystemParams,
-    apply_superoperator,
+    Superoperator,
     beta_profile,
     build_hamiltonian,
     build_liouvillian,
@@ -22,6 +22,12 @@ from drivencavity.operators import (
     basis_state,
     coherent_state,
 )
+
+
+def apply_superoperator(l: Superoperator, rho: np.ndarray) -> np.ndarray:
+    """d rho/dt as a matrix, for a matrix-valued rho."""
+    dim = l.space.dim
+    return (l.matrix @ rho.reshape(-1)).reshape(dim, dim)
 
 
 def _params(**kw):
@@ -248,3 +254,16 @@ def test_cached_plan_is_read_only():
         assert not array.flags.writeable
     with pytest.raises(ValueError):
         plan.collapses[0].data[0] = 1.0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("g0", math.nan), ("omega", math.inf), ("kappa", math.nan),
+    ("delta", math.nan), ("delta_c", -math.inf), ("theta", math.nan),
+    ("gamma", math.inf), ("positions", (0.0, math.nan)),
+    ("omega_n", (1.0, math.inf)),
+])
+def test_non_finite_parameter_is_rejected(field, value):
+    kw = dict(positions=(0.0, 0.25), g0=1.0, omega=1.0, kappa=0.1)
+    kw[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        SystemParams(**kw)

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.special
 
 from drivencavity.operators import (
     DensityMatrix,
@@ -16,7 +19,6 @@ from drivencavity.operators import (
     fidelity_with_pure,
     fock_populations,
     identity,
-    poisson_pmf,
     trace_distance,
 )
 
@@ -98,6 +100,12 @@ def test_displacement_rejects_tight_truncation():
     space = SpaceDescriptor(n_atoms=0, n_max=8)
     with pytest.raises(TruncationError):
         displacement(space, 2.0)
+
+
+def poisson_pmf(nbar: float, n_max: int) -> np.ndarray:
+    """Poisson(nbar) probabilities on 0..n_max (reference for coherent states)."""
+    n = np.arange(0, n_max + 1)
+    return np.exp(-nbar + n * math.log(nbar) - scipy.special.gammaln(n + 1))
 
 
 def test_coherent_state_photon_statistics():

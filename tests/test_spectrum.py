@@ -1,7 +1,12 @@
+import gc
+
 import numpy as np
 import pytest
+import scipy.integrate
 
-from drivencavity.model import RegimeWarning, SystemParams
+from drivencavity.dynamics import solve_steady
+from drivencavity.model import RegimeWarning, SystemParams, build_liouvillian
+from drivencavity.operators import atomic_lowering, expectation
 from drivencavity.spectrum import (
     ProbeParams,
     SpectrumDomainError,
@@ -132,3 +137,56 @@ def test_numeric_probe_peaks_at_coupling():
     resp = [probe_response_numeric(d, p, probe, n_max=6, t_final=60.0)
             for d in grid]
     assert grid[int(np.argmax(resp))] == pytest.approx(10.0)
+
+
+def _probe_response_reference(delta_p, params, probe, n_max, t_final):
+    """The probe response from the commutator with the time-dependent
+    probe Hamiltonian written out, integrated by solve_ivp's DOP853."""
+    sol = solve_steady(params, n_max=n_max)
+    space = sol.space
+    lmat = build_liouvillian(params, space).matrix
+    sig = atomic_lowering(space, 0)
+    proj = (sig.dag() @ sig).entries
+    i_at_ss = params.gamma * expectation(sig.dag() @ sig, sol.rho).real
+    sig_m, sig_p = sig.entries, sig.dag().entries
+    dim, wp = space.dim, probe.omega_p_tilde
+
+    def rhs(t, v):
+        rho = v.reshape(dim, dim)
+        hp = wp * (np.exp(-1j * delta_p * t) * sig_p
+                   + np.exp(1j * delta_p * t) * sig_m)
+        return lmat @ v + (-1j * (hp @ rho - rho @ hp)).reshape(-1)
+
+    out = scipy.integrate.solve_ivp(
+        rhs, (0.0, t_final), sol.rho.entries.reshape(-1).astype(complex),
+        method="DOP853", rtol=1e-8, atol=1e-10,
+        t_eval=np.linspace(0.5 * t_final, t_final, 81))
+    assert out.success
+    pops = [np.trace(proj @ out.y[:, k].reshape(dim, dim)).real
+            for k in range(out.y.shape[1])]
+    return params.gamma * float(np.mean(pops)) - i_at_ss
+
+
+@pytest.mark.parametrize("delta_p", [-10.0, 10.0, 11.5])
+def test_numeric_probe_matches_the_commutator_reference(delta_p):
+    p = _params(g0=10.0, kappa=1e-3)
+    probe = ProbeParams(omega_p_tilde=0.05)
+    reference = _probe_response_reference(delta_p, p, probe, 6, 60.0)
+    # measured 2.0e-9 at +-10 and 1.5e-8 at 11.5
+    assert probe_response_numeric(delta_p, p, probe, n_max=6, t_final=60.0) \
+        == pytest.approx(reference, rel=1e-7)
+
+
+def test_numeric_probe_leaves_no_solver_behind():
+    # scipy's DOP853 wrapper keeps every solver it runs alive
+    def live_solvers():
+        gc.collect()
+        return sum(type(o).__name__ == "dop853" for o in gc.get_objects())
+
+    p = _params(g0=10.0, kappa=1e-3)
+    probe_response_numeric(10.0, p, ProbeParams(0.05), n_max=2, t_final=1.0)
+    before = live_solvers()
+    for delta_p in (9.0, 10.0, 11.0):
+        probe_response_numeric(delta_p, p, ProbeParams(0.05), n_max=2,
+                               t_final=1.0)
+    assert live_solvers() == before
