@@ -8,7 +8,6 @@ import functools
 import math
 import os
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -102,8 +101,7 @@ def steady_state(l: Superoperator) -> DensityMatrix:
 
     The first equation of L rho = 0 is replaced by the trace row, which
     gives a matrix m with m vec(rho) = e_0.  With one atom, or below
-    KRYLOV_MIN_DIM, m is solved by sparse LU in the column order of its
-    sparsity pattern (see _column_order).  Otherwise it is solved by
+    KRYLOV_MIN_DIM, m is solved by sparse LU.  Otherwise it is solved by
     GMRES preconditioned with the inverse of rho -> -i(h_eff rho - rho
     h_eff^dag), to relative residual 1e-8, and refined once: GMRES solves
     m d = e_0 - m x to 1e-8 of its right-hand side and x += d.  (Adding
@@ -124,16 +122,11 @@ def steady_state(l: Superoperator) -> DensityMatrix:
     b = np.zeros(side, dtype=complex)
     b[0] = 1.0
     if l.space.n_atoms < 2 or dim < KRYLOV_MIN_DIM:
-        m = m.tocsc()
         try:
-            perm_c = _column_order(m)
-            lu = spla.splu(m[:, np.argsort(perm_c)], permc_spec="NATURAL")
+            lu = spla.splu(m.tocsc())
         except RuntimeError:
             raise DegenerateSteadyStateError(math.inf) from None
-
-        def solve(rhs):
-            return lu.solve(rhs)[perm_c]
-        probe = solve(r)
+        probe, solve = lu.solve(r), lu.solve
     else:
         precondition = _no_jump_inverse(l.h_eff)
         try:
@@ -154,44 +147,6 @@ def steady_state(l: Superoperator) -> DensityMatrix:
         raise SteadyStateError(
             f"steady-state residual {residual:.3e} exceeds {1e-9 * dim:.3e}")
     return DensityMatrix.from_matrix(l.space, rho, check=False)
-
-
-# SuperLU's COLAMD column order of the last eight sparsity patterns, keyed by
-# their CSC indptr and indices
-_COLUMN_ORDER_PATTERNS = 8
-_column_orders: OrderedDict[tuple[bytes, bytes], np.ndarray] = OrderedDict()
-_column_orders_lock = threading.Lock()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(before=_column_orders_lock.acquire,
-                        after_in_parent=_column_orders_lock.release,
-                        after_in_child=_column_orders_lock.release)
-
-
-def _column_order(m: sp.csc_matrix) -> np.ndarray:
-    """SuperLU's perm_c for m's sparsity pattern, from one splu(m) the first
-    time the pattern is seen and from the cache after that.
-
-    COLAMD reads the pattern alone, so every matrix of a pattern can be
-    factored as splu(m[:, argsort(perm_c)], permc_spec="NATURAL"), whose
-    solution y maps back as y[perm_c].  Every LU solve takes that path,
-    first-seen pattern or not, so a solution does not depend on which
-    solves ran before it in the process.  Raises splu's RuntimeError when
-    the first factorization fails.
-    """
-    key = (m.indptr.tobytes(), m.indices.tobytes())
-    with _column_orders_lock:
-        order = _column_orders.get(key)
-        if order is not None:
-            _column_orders.move_to_end(key)
-            return order
-    # a copy: perm_c is a view that keeps the whole factorization alive
-    order = spla.splu(m).perm_c.copy()
-    order.flags.writeable = False
-    with _column_orders_lock:
-        _column_orders[key] = order
-        while len(_column_orders) > _COLUMN_ORDER_PATTERNS:
-            _column_orders.popitem(last=False)
-    return order
 
 
 def _trace_row_matrix(lmat: sp.csr_matrix, dim: int) -> sp.csr_matrix:

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from drivencavity import dynamics
 from drivencavity.dynamics import (
@@ -151,69 +150,6 @@ def test_undriven_many_atom_steady_state_is_ground():
     rho = steady_state(build_liouvillian(p, space))
     ket = basis_state(space, "ggg", 0)
     assert fidelity_with_pure(rho, ket) == pytest.approx(1.0, abs=1e-12)
-
-
-def _lu_system(kappa, positions=(0.0,), n_max=8):
-    p = _params(positions=positions, omega=1.0, g0=1.0, kappa=kappa)
-    return build_liouvillian(p, build_space(p, n_max=n_max))
-
-
-def test_lu_solution_is_the_same_cold_and_warm():
-    l = _lu_system(0.5)
-    dynamics._column_orders.clear()
-    cold = steady_state(l).entries
-    assert len(dynamics._column_orders) == 1
-    warm = steady_state(l).entries
-    assert np.array_equal(cold, warm)
-
-
-def test_lu_column_order_is_kept_per_pattern():
-    # kappa = 0 stores no cavity-decay entries: a second pattern
-    lossy, lossless = _lu_system(0.5), _lu_system(0.0)
-    assert lossy.matrix.nnz > lossless.matrix.nnz
-    solved = []
-    for first, second in ((lossy, lossless), (lossless, lossy)):
-        dynamics._column_orders.clear()
-        rhos = {id(l): steady_state(l).entries for l in (first, second)}
-        assert len(dynamics._column_orders) == 2
-        # each order owns its data, holding no factorization alive
-        assert all(order.base is None
-                   for order in dynamics._column_orders.values())
-        solved.append([rhos[id(lossy)], rhos[id(lossless)]])
-    for a, b in zip(*solved):
-        assert np.array_equal(a, b)
-
-
-def test_lu_orders_a_pattern_once(monkeypatch):
-    specs = []
-    real_splu = spla.splu
-
-    def spy(m, *args, permc_spec=None, **kwargs):
-        specs.append(permc_spec)
-        return real_splu(m, *args, permc_spec=permc_spec, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", spy)
-    dynamics._column_orders.clear()
-    for kappa in (0.5, 0.3, 0.0, 0.5):
-        steady_state(_lu_system(kappa))
-    # splu's default order is COLAMD
-    assert specs == [None, "NATURAL", "NATURAL", None, "NATURAL", "NATURAL"]
-
-
-@pytest.mark.parametrize("kappa, positions, n_max", [
-    (0.5, (0.0,), 8), (0.0, (0.0,), 14), (0.1, (0.1, 0.37), 4),
-], ids=["1atom", "1atom-lossless", "2atoms"])
-def test_lu_solution_matches_a_direct_factorization(kappa, positions, n_max):
-    l = _lu_system(kappa, positions, n_max)
-    dim = l.space.dim
-    e_0 = np.zeros(dim * dim, dtype=complex)
-    e_0[0] = 1.0
-    m = dynamics._trace_row_matrix(l.matrix, dim).tocsc()
-    direct = spla.splu(m).solve(e_0).reshape(dim, dim)
-    direct = (direct + direct.conj().T) / 2 / np.trace(direct).real
-    # measured at most 2.2e-15 of the largest entry
-    assert np.abs(steady_state(l).entries - direct).max() \
-        <= 1e-13 * np.abs(direct).max()
 
 
 def test_evolve_zero_generator_is_identity_map():
