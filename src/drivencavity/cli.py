@@ -119,7 +119,8 @@ def _count_or_none(value, where: str) -> int | None:
     raise ConfigError(f"{where} must be null or an integer >= 1, got {value!r}")
 
 
-def _parse_sweep(raw: dict, mode: str, where: str, n_atoms: int) -> dict:
+def _parse_sweep(raw: dict, mode: str, where: str,
+                 params: SystemParams) -> dict:
     _require_keys(raw, _SWEEP_KEYS, where)
     for key in ("param", "start", "stop", "points"):
         if key not in raw:
@@ -134,13 +135,22 @@ def _parse_sweep(raw: dict, mode: str, where: str, n_atoms: int) -> dict:
     }
     if param.startswith("position["):
         idx = param[len("position["):-1]
-        if not (param.endswith("]") and idx.isdigit() and int(idx) < n_atoms):
+        if mode == "collective":
+            raise ConfigError(f"'{param}' is not sweepable in mode "
+                              f"'collective': its pattern places the atoms")
+        if not (param.endswith("]") and idx.isdigit()
+                and int(idx) < params.n_atoms):
             raise ConfigError(f"sweep param '{param}' names none of the "
-                              f"{n_atoms} atoms")
+                              f"{params.n_atoms} atoms")
     elif param not in _SWEEPABLE[mode]:
         raise ConfigError(
             f"'{param}' is not sweepable in mode '{mode}' "
-            f"(allowed: {sorted(_SWEEPABLE[mode])} and position[i])")
+            f"(allowed: {sorted(_SWEEPABLE[mode])}"
+            f"{'' if mode == 'collective' else ' and position[i]'})")
+    elif (param == "omega" and mode in ("steady", "evolve")
+          and params.omega_n is not None):
+        raise ConfigError(f"'omega' is not sweepable in mode '{mode}' while "
+                          f"params.omega_n sets each atom's drive")
     if swp["scale"] not in ("linear", "log"):
         raise ConfigError(f"{where}: scale must be 'linear' or 'log'")
     if swp["points"] < 2:
@@ -211,7 +221,7 @@ def load_config(path: str) -> dict:
     _check_point(cfg)
 
     for which in ("sweep", "sweep2"):
-        cfg[which] = (_parse_sweep(raw[which], mode, which, base.n_atoms)
+        cfg[which] = (_parse_sweep(raw[which], mode, which, base)
                       if raw.get(which) is not None else None)
     if cfg["sweep2"] is not None and cfg["sweep"] is None:
         raise ConfigError("sweep2 requires sweep")

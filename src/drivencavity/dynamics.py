@@ -92,8 +92,9 @@ class SteadySolution:
     rho: DensityMatrix
     space: SpaceDescriptor
     n_max: int
-    residual: float
+    residual: float                # |L rho|
     escalations: int
+    condition: float               # steady_state's estimate, at n_max
 
 
 def steady_state(l: Superoperator) -> DensityMatrix:
@@ -108,45 +109,75 @@ def steady_state(l: Superoperator) -> DensityMatrix:
     1 tr(rho) to every diagonal equation instead of the trace row would put
     rounding noise on all of them, which near-dark states cannot afford.)
 
-    A degenerate null space makes m singular.  DegenerateSteadyStateError
-    is raised when the LU factorization fails, when GMRES cannot solve m
-    against a fixed random vector r to 1e-6 in three restart cycles, or
-    when the 1-norm condition estimate |m| |m^-1 r| / |r| exceeds
-    DEGENERACY_CONDITION_LIMIT.  A state whose residual |L rho| exceeds
-    1e-9 dim, or a GMRES solve that does not converge, is a SteadyStateError.
+    The state is certified before it is solved for: a degenerate null space
+    makes m singular.  DegenerateSteadyStateError is raised when the LU
+    factorization fails, when GMRES cannot solve m against a fixed random
+    vector r to 1e-6 in three restart cycles, or when the 1-norm condition
+    estimate |m| |m^-1 r| / |r| exceeds DEGENERACY_CONDITION_LIMIT.  A
+    state whose residual |L rho| exceeds 1e-9 dim, or a GMRES solve that
+    does not converge, is a SteadyStateError.
     """
-    dim = l.space.dim
-    side = l.matrix.shape[0]
-    m = _trace_row_matrix(l.matrix, dim)
-    r = np.random.default_rng(0).standard_normal(side).astype(complex)
-    b = np.zeros(side, dtype=complex)
-    b[0] = 1.0
-    if l.space.n_atoms < 2 or dim < KRYLOV_MIN_DIM:
-        try:
-            lu = spla.splu(m.tocsc())
-        except RuntimeError:
-            raise DegenerateSteadyStateError(math.inf) from None
-        probe, solve = lu.solve(r), lu.solve
-    else:
+    system = _TraceRowSystem(l)
+    system.condition()
+    return system.solve()[0]
+
+
+class _TraceRowSystem:
+    """m vec(rho) = e_0 for one Liouvillian, set up once (see steady_state).
+
+    Construction factors m by sparse LU, or eigendecomposes h_eff for the
+    GMRES preconditioner; the degeneracy probe (condition) and the solve
+    both reuse that work, in either order.
+    """
+
+    def __init__(self, l: Superoperator):
+        self.l = l
+        self.m = m = _trace_row_matrix(l.matrix, l.space.dim)
+        if l.space.n_atoms < 2 or l.space.dim < KRYLOV_MIN_DIM:
+            try:
+                lu = spla.splu(m.tocsc())
+            except RuntimeError:
+                raise DegenerateSteadyStateError(math.inf) from None
+            self._probe = self._solve = lu.solve
+            return
         precondition = _no_jump_inverse(l.h_eff)
-        try:
-            probe = _gmres(m, r, precondition, 1e-6, max_cycles=3)
-        except SteadyStateError as exc:
-            raise DegenerateSteadyStateError(math.inf, str(exc)) from None
+
+        def probe(r):
+            try:
+                return _gmres(m, r, precondition, 1e-6, max_cycles=3)
+            except SteadyStateError as exc:
+                raise DegenerateSteadyStateError(math.inf, str(exc)) from None
 
         def solve(rhs):
             x = _gmres(m, rhs, precondition, 1e-8)
             return x + _gmres(m, rhs - m @ x, precondition, 1e-8)
-    condition = spla.norm(m, 1) * np.abs(probe).sum() / np.abs(r).sum()
-    if not condition <= DEGENERACY_CONDITION_LIMIT:
-        raise DegenerateSteadyStateError(condition)
-    rho = solve(b).reshape(dim, dim)
-    rho = (rho + rho.conj().T) / 2 / np.trace(rho).real
-    residual = float(np.linalg.norm(l.matrix @ rho.reshape(-1)))
-    if residual > 1e-9 * dim:
-        raise SteadyStateError(
-            f"steady-state residual {residual:.3e} exceeds {1e-9 * dim:.3e}")
-    return DensityMatrix.from_matrix(l.space, rho, check=False)
+
+        self._probe, self._solve = probe, solve
+
+    def condition(self) -> float:
+        """The 1-norm condition estimate of m, or DegenerateSteadyStateError
+        when it exceeds DEGENERACY_CONDITION_LIMIT."""
+        side = self.m.shape[0]
+        r = np.random.default_rng(0).standard_normal(side).astype(complex)
+        condition = float(spla.norm(self.m, 1) * np.abs(self._probe(r)).sum()
+                          / np.abs(r).sum())
+        if not condition <= DEGENERACY_CONDITION_LIMIT:
+            raise DegenerateSteadyStateError(condition)
+        return condition
+
+    def solve(self) -> tuple[DensityMatrix, float]:
+        """The unit-trace state and its residual |L rho|, or SteadyStateError
+        when the residual exceeds 1e-9 dim."""
+        dim = self.l.space.dim
+        b = np.zeros(self.m.shape[0], dtype=complex)
+        b[0] = 1.0
+        rho = self._solve(b).reshape(dim, dim)
+        rho = (rho + rho.conj().T) / 2 / np.trace(rho).real
+        residual = float(np.linalg.norm(self.l.matrix @ rho.reshape(-1)))
+        if residual > 1e-9 * dim:
+            raise SteadyStateError(
+                f"steady-state residual {residual:.3e} exceeds {1e-9 * dim:.3e}")
+        return DensityMatrix.from_matrix(self.l.space, rho, check=False), residual
 
 
 def _trace_row_matrix(lmat: sp.csr_matrix, dim: int) -> sp.csr_matrix:
@@ -332,7 +363,11 @@ def solve_steady(params: SystemParams, n_max: int | None = None) -> SteadySoluti
     """Steady state with automatic Fock-truncation escalation.
 
     The top two Fock populations must stay below TAIL_POPULATION_LIMIT;
-    otherwise n_max grows by 50% (at most three times).  Runs with each
+    otherwise n_max grows by 50% (at most three times).  The first
+    truncation is certified before it is solved, as in steady_state, so a
+    degenerate system fails there.  A later one is solved first and
+    certified only if it is returned, on the same factorization or
+    preconditioner; a discarded step is never certified.  Runs with each
     OpenBLAS copy on one thread, which holds for the whole process while
     the solve runs (see _one_blas_thread).
     """
@@ -342,14 +377,17 @@ def solve_steady(params: SystemParams, n_max: int | None = None) -> SteadySoluti
             if escalation:
                 current = math.ceil(current * 1.5)
             space = build_space(params, current)
-            l = build_liouvillian(params, space)
-            rho = steady_state(l)
+            system = _TraceRowSystem(build_liouvillian(params, space))
+            if not escalation:
+                condition = system.condition()
+            rho, residual = system.solve()
             tail = fock_populations(rho)[-2:].sum()
             if tail < TAIL_POPULATION_LIMIT:
-                residual = np.linalg.norm(l.matrix @ rho.entries.reshape(-1))
+                if escalation:
+                    condition = system.condition()
                 return SteadySolution(
-                    rho=rho, space=space, n_max=current,
-                    residual=float(residual), escalations=escalation,
+                    rho=rho, space=space, n_max=current, residual=residual,
+                    escalations=escalation, condition=condition,
                 )
         raise TruncationEscalationError(
             f"Fock tail population {tail:.3e} at n_max={current} is above "

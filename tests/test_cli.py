@@ -128,6 +128,18 @@ def test_sweep_validation(tmp_path, sweep):
      "sweep": {"param": "kappa", "start": 0.01, "stop": 0.1, "points": 3}},
     {"mode": "spectrum", "params": dict(BASE_PARAMS, kappa=0.0),
      "sweep": {"param": "delta_c", "start": 0.5, "stop": 1.5, "points": 3}},
+    # a sweep that cannot change a row: a pattern places collective atoms,
+    # and omega_n, not omega, drives the atoms of a steady or evolve run
+    {"mode": "collective", "params": dict(BASE_PARAMS, positions=[0.0, 0.5]),
+     "sweep": {"param": "position[1]", "start": 0.1, "stop": 0.4,
+               "points": 3}},
+    {"params": dict(BASE_PARAMS, positions=[0.0, 0.25], omega_n=[0.5, 0.5]),
+     "n_max": 4,
+     "sweep": {"param": "omega", "start": 0.1, "stop": 2.0, "points": 3}},
+    {"mode": "evolve",
+     "params": dict(BASE_PARAMS, positions=[0.0, 0.25], omega_n=[0.5, 0.5]),
+     "n_max": 4,
+     "sweep": {"param": "omega", "start": 0.1, "stop": 2.0, "points": 3}},
 ])
 def test_malformed_field_is_config_error(tmp_path, overrides):
     cfg = _write_cfg(tmp_path, dict({
@@ -306,13 +318,13 @@ def test_preset_tables_pinned():
 
 def test_stark_sweep_solves_steady_state_once(tmp_path, monkeypatch):
     calls = []
-    real = dynamics.steady_state
+    real = dynamics._TraceRowSystem
 
     def counted(l):
         calls.append(l)
         return real(l)
 
-    monkeypatch.setattr(dynamics, "steady_state", counted)
+    monkeypatch.setattr(dynamics, "_TraceRowSystem", counted)
     cli._steady_alpha.cache_clear()
     cfg = load_config(_write_cfg(tmp_path, {
         "mode": "stark", "params": dict(BASE_PARAMS, g0=1.0, kappa=1.0),

@@ -228,6 +228,56 @@ def test_truncation_escalation():
     assert sol.n_max > 4
 
 
+@pytest.fixture
+def probes(monkeypatch):
+    """The n_max of each degeneracy probe run, in order."""
+    seen = []
+    real = dynamics._TraceRowSystem.condition
+
+    def counted(system):
+        seen.append(system.l.space.n_max)
+        return real(system)
+
+    monkeypatch.setattr(dynamics._TraceRowSystem, "condition", counted)
+    return seen
+
+
+def test_accepted_escalation_certifies_first_and_returned_truncation(
+        probes, monkeypatch):
+    # fig7 off the lambda/2 band: GMRES at n_max 11 (dim 48), accepted at 17
+    real, preconditioned = dynamics._no_jump_inverse, []
+
+    def counted(h_eff):
+        preconditioned.append(h_eff.shape[0])
+        return real(h_eff)
+
+    monkeypatch.setattr(dynamics, "_no_jump_inverse", counted)
+    p = _params(positions=(0.0, 0.37), **_FIG7)
+    sol = solve_steady(p)
+    assert (sol.escalations, sol.n_max) == (1, 17)
+    assert probes == [11, 17]
+    assert preconditioned == [48, 72]
+    assert sol.condition <= dynamics.DEGENERACY_CONDITION_LIMIT
+    with dynamics._one_blas_thread():
+        rho = steady_state(build_liouvillian(p, build_space(p, n_max=17)))
+    assert np.array_equal(sol.rho.entries, rho.entries)
+
+
+def test_failed_escalation_certifies_only_the_first_truncation(probes):
+    # fig7 next to lambda/2: n_max 11 -> 17 -> 26 -> 39, tail still too heavy
+    p = _params(positions=(0.0, 100 / 201), **_FIG7)
+    with pytest.raises(TruncationEscalationError):
+        solve_steady(p)
+    assert probes == [11]
+
+
+def test_solve_steady_detects_degeneracy_at_the_first_truncation(probes):
+    p = _params(positions=(0.0, 0.0), omega=0.0, g0=0.0, kappa=0.0)
+    with pytest.raises(DegenerateSteadyStateError):
+        solve_steady(p, n_max=11)
+    assert probes == [11]
+
+
 def test_trace_row_matrix_matches_the_product_form():
     p = SystemParams(positions=(0.0, 0.37), g0=10.0, omega=1.0, kappa=0.0,
                      delta=0.0)
@@ -271,13 +321,13 @@ def test_solve_steady_runs_on_one_blas_thread(monkeypatch):
     if not controls:
         pytest.skip("no OpenBLAS thread-count symbols in this process")
     seen = []
-    real = dynamics.steady_state
+    real = dynamics._TraceRowSystem
 
     def recorded(l):
         seen.append([get() for get, _ in controls])
         return real(l)
 
-    monkeypatch.setattr(dynamics, "steady_state", recorded)
+    monkeypatch.setattr(dynamics, "_TraceRowSystem", recorded)
     original = [get() for get, _ in controls]
     try:
         for _, set_ in controls:
