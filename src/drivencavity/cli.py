@@ -252,6 +252,10 @@ def _settings(raw: dict, mode: str, params: SystemParams) -> dict:
 def _check_point(point: dict) -> None:
     """The rules every point config obeys, base and swept values alike."""
     mode = point["mode"]
+    if (mode in ("spectrum", "collective")
+            and point["params"].omega_n is not None):
+        raise ConfigError(f"params.omega_n is not read in mode '{mode}': its "
+                          f"closed forms take the one pump amplitude omega")
     if mode == "stark" and point["delta_2"] == 0:
         raise ConfigError("stark.delta_2 must be nonzero")
     if mode == "collective":

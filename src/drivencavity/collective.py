@@ -20,6 +20,7 @@ from .model import (
     RegimeWarning,
     SystemParams,
     coupling_profile,
+    saturation,
 )
 
 HBAR = 1.0
@@ -56,12 +57,6 @@ class PatternSpec:
         return base + np.arange(self.n_atoms, dtype=float)
 
 
-def _saturation(g, params: SystemParams):
-    """Saturation parameter g^2 / ((gamma/2)^2 + Delta^2) of a coupling or
-    pump amplitude g (elementwise for an array)."""
-    return g ** 2 / ((params.gamma / 2) ** 2 + params.delta ** 2)
-
-
 def _saturation_ok(params: SystemParams) -> bool:
     n = params.n_atoms
     lhs = math.hypot(params.gamma / 2, params.delta)
@@ -72,7 +67,7 @@ def effective_field_params(params: SystemParams) -> EffectiveFieldParams:
     """Adiabatic-elimination coefficients for an arbitrary set of positions."""
     prof = coupling_profile(params)
     g = prof.g_n
-    s_n = _saturation(g, params)
+    s_n = saturation(g, params)
     s = float(np.mean(s_n))
     n = params.n_atoms
     gsq = float(np.sum(g ** 2))
@@ -110,7 +105,7 @@ def in_phase_alpha(pattern: PatternSpec, params: SystemParams) -> complex:
     """
     gbar = params.g0 if pattern.parity == 0 else -params.g0
     n = pattern.n_atoms
-    s = _saturation(gbar, params)
+    s = saturation(gbar, params)
     num = n * s * (params.gamma / 2 + 1j * params.delta)
     return -(params.omega / gbar) * num / (
         num + params.kappa / 2 - 1j * params.delta_c)
@@ -123,10 +118,10 @@ def excited_population(pattern: PatternSpec, params: SystemParams) -> float:
     destructively with the pump at every atom.
     """
     n = pattern.n_atoms
-    s = _saturation(params.g0, params)
+    s = saturation(params.g0, params)
     gp = n * s * params.gamma
     dp = params.delta_c - n * s * params.delta
-    return _saturation(params.omega, params) \
+    return saturation(params.omega, params) \
         * (params.kappa ** 2 / 4 + params.delta_c ** 2) \
         / ((gp + params.kappa) ** 2 / 4 + dp ** 2)
 
@@ -152,7 +147,7 @@ def critical_atom_number(params: SystemParams) -> float:
     """
     if params.g0 == 0:
         raise ValueError("g0 must be nonzero")
-    s = _saturation(params.g0, params)
+    s = saturation(params.g0, params)
     return params.kappa / (s * math.hypot(params.gamma, params.delta))
 
 
@@ -160,16 +155,16 @@ def critical_atom_number(params: SystemParams) -> float:
 class ForceCoefficients:
     """Semiclassical light forces on atom n along the cavity axis."""
 
-    u0: float          # cavity light shift g0^2 Delta / (Delta^2 + gamma^2/4)
-    gamma0: float      # dissipation rate g0^2 (gamma/2) / (Delta^2 + gamma^2/4)
+    u0: float          # cavity light shift saturation(g0) Delta
+    gamma0: float      # dissipation rate saturation(g0) gamma/2
     eta_eff: complex   # pump-mediated drive Omega g0 / (-i Delta + gamma/2)
 
 
 def force_coefficients(params: SystemParams) -> ForceCoefficients:
-    denom = params.delta ** 2 + params.gamma ** 2 / 4
+    s = saturation(params.g0, params)
     return ForceCoefficients(
-        u0=params.g0 ** 2 * params.delta / denom,
-        gamma0=params.g0 ** 2 * (params.gamma / 2) / denom,
+        u0=s * params.delta,
+        gamma0=s * params.gamma / 2,
         eta_eff=params.omega * params.g0 / (-1j * params.delta
                                             + params.gamma / 2),
     )
@@ -208,7 +203,7 @@ def restoring_coefficient(pattern: PatternSpec, params: SystemParams) -> float:
     if params.g0 == 0:
         raise ValueError("g0 must be nonzero")
     # the pattern's atom-induced field decay rate gamma' = N s gamma
-    s = _saturation(params.g0, params)
+    s = saturation(params.g0, params)
     gamma_prime = pattern.n_atoms * s * params.gamma
     if abs(params.delta_c) > 0.5 * (gamma_prime + params.kappa):
         warnings.warn("|delta_c| is not small against the field linewidth; "

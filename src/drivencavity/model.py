@@ -105,11 +105,34 @@ class Superoperator:
     h_eff: np.ndarray = field(repr=False)
 
 
+def mode_function(x, params: SystemParams):
+    """(g(x), phi(x)): the mode coupling g0 cos(kx) and the pump phase
+    kx cos(theta) at x in wavelengths, a float or an array."""
+    return (params.g0 * np.cos(K_WAVENUMBER * x),
+            K_WAVENUMBER * x * math.cos(params.theta))
+
+
 def coupling_profile(params: SystemParams) -> CouplingProfile:
-    x = np.asarray(params.positions)
-    g_n = params.g0 * np.cos(K_WAVENUMBER * x)
-    phi_n = K_WAVENUMBER * x * math.cos(params.theta)
+    g_n, phi_n = mode_function(np.asarray(params.positions), params)
     return CouplingProfile(g_n=g_n, phi_n=phi_n)
+
+
+def _off_node(g, params: SystemParams) -> float:
+    """g as a float, or 0.0 at a node of the mode function, where
+    |g| < 1e-12 max(|g0|, 1)."""
+    return 0.0 if abs(g) < 1e-12 * max(abs(params.g0), 1.0) else float(g)
+
+
+def atom_coupling(params: SystemParams) -> float:
+    """The coupling g(x) of the first atom, the one atom of the one-atom
+    closed forms; 0.0 at a node."""
+    return _off_node(mode_function(params.positions[0], params)[0], params)
+
+
+def saturation(g, params: SystemParams):
+    """Saturation parameter g^2 / ((gamma/2)^2 + Delta^2) of a coupling or
+    pump amplitude g (elementwise for an array)."""
+    return g ** 2 / ((params.gamma / 2) ** 2 + params.delta ** 2)
 
 
 def default_n_max(params: SystemParams) -> int:
@@ -282,15 +305,14 @@ def beta_profile(x: float, params: SystemParams) -> complex:
 
     Undefined at nodes of the mode function.
     """
-    g = params.g0 * math.cos(K_WAVENUMBER * x)
-    if abs(g) < 1e-12 * max(abs(params.g0), 1.0):
+    g, phi = mode_function(x, params)
+    g = _off_node(g, params)
+    if g == 0:
         raise NodePositionError(f"beta(x) undefined at node x={x}")
-    phase = math.pi + K_WAVENUMBER * x * math.cos(params.theta)
-    return complex(params.omega * np.exp(1j * phase) / g)
+    return complex(params.omega * np.exp(1j * (math.pi + phi)) / g)
 
 
 def free_space_fluorescence(params: SystemParams) -> float:
     """Saturated two-level scattering rate of a single atom in free space."""
-    g = params.gamma
-    s_half = params.omega**2 / 2
-    return g * s_half / (params.delta**2 + g**2 / 4 + s_half)
+    s = saturation(params.omega, params)
+    return params.gamma * s / (2 + s)

@@ -16,7 +16,14 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .model import RegimeWarning, SystemParams, beta_profile, coupling_profile
+from .model import (
+    RegimeWarning,
+    SystemParams,
+    atom_coupling,
+    beta_profile,
+    build_space,
+    term_plan,
+)
 from .operators import (
     DensityMatrix,
     Operator,
@@ -40,23 +47,17 @@ def displaced_effective_hamiltonian(params: SystemParams,
                                     space: SpaceDescriptor) -> tuple[Operator, Operator]:
     """(H0, V) with the displaced effective Hamiltonian equal to H0 + kappa V.
 
-    Only defined for one atom with delta_c = 0 and nonzero coupling.
+    Only defined for one atom with delta_c = 0, off a node of the mode
+    function.  V is dense: the term plan that sums H0 has no a term.
     """
     if params.n_atoms != 1:
         raise ValueError("displaced effective Hamiltonian requires exactly one atom")
     if params.delta_c != 0:
         raise ValueError("displaced effective Hamiltonian requires delta_c = 0")
-    prof = coupling_profile(params)
-    gbar = float(prof.g_n[0])
-    if gbar == 0:
-        raise ValueError("atom sits at a node of the mode function")
     beta = beta_profile(params.positions[0], params)
-    a = annihilation(space).entries
-    sig = atomic_lowering(space, 0).entries
-    proj_e = sig.conj().T @ sig
-    h0 = gbar * (a @ sig.conj().T + a.conj().T @ sig) \
-        - (params.delta + 0.5j * params.gamma) * proj_e
-    a_disp = a + beta * np.eye(space.dim)
+    h0 = term_plan(space).dense(np.array(
+        [0, -(params.delta + 0.5j * params.gamma), atom_coupling(params), 0, 0]))
+    a_disp = annihilation(space).entries + beta * np.eye(space.dim)
     v = -0.5j * (a_disp.conj().T @ a_disp)
     return Operator(space, h0), Operator(space, v)
 
@@ -69,23 +70,17 @@ def dressed_eigenvalues(n: int, params: SystemParams) -> tuple[complex, complex]
     """
     if n < 1:
         raise ValueError("excitation number must be >= 1")
-    prof = coupling_profile(params)
-    g = abs(float(prof.g_n[0]))
-    gamma = params.gamma
-
-    def root(delta: float) -> complex:
-        dt = delta + 0.5j * gamma
-        return np.sqrt(dt * dt + 4 * g * g * n)
-
-    # track the branch continuously from delta = 0
-    r = root(0.0)
-    steps = 64
-    for k in range(1, steps + 1):
-        cand = root(params.delta * k / steps)
-        if abs(cand - r) > abs(-cand - r):
-            cand = -cand
-        r = cand
-    dt = params.delta + 0.5j * gamma
+    g = abs(atom_coupling(params))
+    dt = params.delta + 0.5j * params.gamma
+    # z = dt^2 + 4 g^2 n has Im z = delta gamma, so z is real only at
+    # delta = 0 and the root r (r^2 = z) continued from there crosses
+    # neither axis.  Underdamped, r starts at sqrt(z) > 0 and keeps
+    # Re r > 0, as the principal root does; overdamped (4 g^2 n <
+    # gamma^2/4), r starts at i sqrt(-z) on the cut and keeps Im r > 0,
+    # which the principal root loses below the cut (delta < 0)
+    r = np.sqrt(dt * dt + 4 * g * g * n)
+    if 4 * g * g * n < params.gamma ** 2 / 4 and r.imag < 0:
+        r = -r
     lam_plus = -0.5 * (dt - r)
     lam_minus = -0.5 * (dt + r)
     return complex(lam_plus), complex(lam_minus)
@@ -155,8 +150,6 @@ def perturbative_state(params: SystemParams, t: float, order: int = 2,
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    from .model import build_space
-
     space = build_space(params, n_max)
     dim = space.dim
     h0_op, v_op = displaced_effective_hamiltonian(params, space)
@@ -220,8 +213,7 @@ def small_kappa_rates(params: SystemParams) -> SmallKappaRates:
     I_at = kappa (Omega/g)^2 / (2 C1), I_cav = kappa (Omega/g)^2 (1 - 1/(2 C1)),
     with cooperativity C1 = 2 g^2 / (gamma kappa).
     """
-    prof = coupling_profile(params)
-    gbar = abs(float(prof.g_n[0]))
+    gbar = abs(atom_coupling(params))
     if gbar == 0:
         raise ValueError("coupling vanishes; closed-form rates undefined")
     if params.delta != 0 or gbar < 5 * params.gamma:

@@ -12,12 +12,12 @@ import scipy.integrate
 import scipy.sparse as sp
 
 from .model import (
-    K_WAVENUMBER,
     RegimeWarning,
     SystemParams,
+    atom_coupling,
     build_liouvillian,
     build_space,
-    coupling_profile,
+    mode_function,
 )
 from .operators import atomic_lowering, expectation
 from .dynamics import observables, solve_steady
@@ -34,8 +34,7 @@ class ProbeParams:
     omega_p_tilde: float
 
     def weak_for(self, params: SystemParams) -> bool:
-        prof = coupling_profile(params)
-        gbar = abs(float(prof.g_n[0]))
+        gbar = abs(atom_coupling(params))
         return self.omega_p_tilde < 0.1 * min(gbar, abs(params.omega), params.gamma)
 
 
@@ -50,19 +49,8 @@ class ResonancePair:
     regime_valid: bool
 
 
-def _gbar(params: SystemParams) -> float:
-    prof = coupling_profile(params)
-    g = float(prof.g_n[0])
-    if abs(g) < 1e-12 * max(abs(params.g0), 1.0):
-        return 0.0
-    return g
-
-
-def _check_domain(params: SystemParams) -> float:
-    if params.n_atoms != 1 or params.kappa != 0 or params.delta_c != 0:
-        raise SpectrumDomainError(
-            "excitation spectrum requires N=1, kappa=0 and delta_c=0")
-    gbar = _gbar(params)
+def _coupled_gbar(params: SystemParams) -> float:
+    gbar = atom_coupling(params)
     if gbar == 0:
         raise SpectrumDomainError("atom sits at a node of the mode function")
     return gbar
@@ -82,7 +70,10 @@ def excitation_spectrum(delta_p: float, params: SystemParams,
 def transition_amplitude(delta_p: float, params: SystemParams,
                          probe: ProbeParams) -> complex:
     """Probe-to-continuum scattering amplitude, per unit bath coupling."""
-    gbar = _check_domain(params)
+    if params.n_atoms != 1 or params.kappa != 0 or params.delta_c != 0:
+        raise SpectrumDomainError(
+            "excitation spectrum requires N=1, kappa=0 and delta_c=0")
+    gbar = _coupled_gbar(params)
     den = delta_p * (delta_p + params.delta + 0.5j * params.gamma) - gbar * gbar
     return probe.omega_p_tilde * delta_p / den
 
@@ -93,9 +84,7 @@ def resonances(params: SystemParams) -> ResonancePair:
     The width formula assumes sqrt(Delta^2 + g^2) >> gamma/2; outside
     that regime regime_valid is False.
     """
-    gbar = _gbar(params)
-    if gbar == 0:
-        raise SpectrumDomainError("atom sits at a node of the mode function")
+    gbar = _coupled_gbar(params)
     delta = params.delta
     root = math.sqrt(delta**2 + 4 * gbar**2)
     d_plus = 0.5 * (-delta + root)
@@ -124,8 +113,7 @@ def probe_stark_shift(x_probe: float, delta_2: float, params: SystemParams,
     if alpha_ss is None:
         sol = solve_steady(params)
         alpha_ss = observables(sol.rho, params).alpha
-    g_probe = params.g0 * math.cos(K_WAVENUMBER * x_probe)
-    phi_probe = K_WAVENUMBER * x_probe * math.cos(params.theta)
+    g_probe, phi_probe = mode_function(x_probe, params)
     field = params.omega * np.exp(1j * phi_probe) + g_probe * alpha_ss
     return float(abs(field) ** 2 / delta_2)
 

@@ -140,6 +140,13 @@ def test_sweep_validation(tmp_path, sweep):
      "params": dict(BASE_PARAMS, positions=[0.0, 0.25], omega_n=[0.5, 0.5]),
      "n_max": 4,
      "sweep": {"param": "omega", "start": 0.1, "stop": 2.0, "points": 3}},
+    # nor a field its mode does not read: the closed forms of collective
+    # and spectrum take omega, not omega_n
+    {"mode": "collective",
+     "params": dict(BASE_PARAMS, positions=[0.0, 0.5], g0=0.1, omega=0.1,
+                    kappa=1.0, omega_n=[5.0, 0.01])},
+    {"mode": "spectrum",
+     "params": dict(BASE_PARAMS, g0=1.0, kappa=0.0, omega_n=[1e-5])},
 ])
 def test_malformed_field_is_config_error(tmp_path, overrides):
     cfg = _write_cfg(tmp_path, dict({

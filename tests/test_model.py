@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,17 @@ from drivencavity.operators import (
     atomic_lowering,
     basis_state,
     coherent_state,
+)
+from drivencavity.perturbative import (
+    displaced_effective_hamiltonian,
+    perturbative_state,
+    small_kappa_rates,
+)
+from drivencavity.spectrum import (
+    ProbeParams,
+    excitation_spectrum,
+    resonances,
+    transition_amplitude,
 )
 
 
@@ -137,6 +149,26 @@ def test_node_atoms_allowed_in_builder():
     space = build_space(p, n_max=2)
     h = build_hamiltonian(p, space).entries
     assert np.max(np.abs(h - h.conj().T)) < 1e-12
+
+
+# one atom at x = 1/4, where g = g0 cos(pi/2) is 6e-16 g0 in floating point
+_AT_NODE = SystemParams(positions=(0.25,), g0=10.0, omega=1.0, kappa=0.0)
+
+
+@pytest.mark.parametrize("closed_form", [
+    lambda p: small_kappa_rates(replace(p, kappa=0.1)),
+    lambda p: transition_amplitude(1.0, p, ProbeParams(1e-3)),
+    lambda p: excitation_spectrum(1.0, p, ProbeParams(1e-3)),
+    resonances,
+    lambda p: displaced_effective_hamiltonian(p, build_space(p, n_max=4)),
+    lambda p: perturbative_state(p, t=1.0, n_max=4),
+    lambda p: beta_profile(p.positions[0], p),
+], ids=["small_kappa_rates", "transition_amplitude", "excitation_spectrum",
+        "resonances", "displaced_effective_hamiltonian", "perturbative_state",
+        "beta_profile"])
+def test_one_atom_closed_forms_raise_at_a_node(closed_form):
+    with pytest.raises(ValueError):
+        closed_form(_AT_NODE)
 
 
 def test_free_space_fluorescence():

@@ -94,6 +94,22 @@ def test_dressed_eigenvalue_imaginary_sum():
             assert lp.imag + lm.imag == pytest.approx(-p.gamma / 2, abs=1e-10)
 
 
+@pytest.mark.parametrize("g0, delta, n", [
+    (3.0, -2.0, 1),
+    (3.0, 5.0, 2),
+    # 4 g^2 n < gamma^2/4: overdamped, the root starts on the branch cut
+    (0.1, -3.0, 1),
+    (0.1, 3.0, 5),
+], ids=["underdamped-neg", "underdamped-pos", "overdamped-neg",
+        "overdamped-pos"])
+def test_dressed_eigenvalues_continue_from_zero_detuning(g0, delta, n):
+    # each root is followed as delta moves from 0: a swapped pair would
+    # jump by |lambda_+ - lambda_-| between neighbouring detunings
+    path = np.array([dressed_eigenvalues(n, _params(g0=g0, delta=float(d)))
+                     for d in np.linspace(0.0, delta, 3001)])
+    assert np.abs(np.diff(path, axis=0)).max() < 0.01
+
+
 # ------------------------------------------------------- biorthogonal ----
 
 def test_biorthogonal_hermitian_input():
