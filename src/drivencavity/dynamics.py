@@ -115,11 +115,13 @@ def steady_state(l: Superoperator) -> DensityMatrix:
     vector r to 1e-6 in three restart cycles, or when the 1-norm condition
     estimate |m| |m^-1 r| / |r| exceeds DEGENERACY_CONDITION_LIMIT.  A
     state whose residual |L rho| exceeds 1e-9 dim, or a GMRES solve that
-    does not converge, is a SteadyStateError.
+    does not converge, is a SteadyStateError.  In that order: the probe,
+    the first pass (LU, or GMRES to 1e-8), then the refinement and the
+    residual check (see _TraceRowSystem).
     """
     system = _TraceRowSystem(l)
     system.condition()
-    return system.solve()[0]
+    return system.finish(system.first_pass())[0]
 
 
 class _TraceRowSystem:
@@ -127,18 +129,26 @@ class _TraceRowSystem:
 
     Construction factors m by sparse LU, or eigendecomposes h_eff for the
     GMRES preconditioner; the degeneracy probe (condition) and the solve
-    both reuse that work, in either order.
+    both reuse that work, in either order.  The solve comes in two steps,
+    so that a caller can read the state after the first and skip the
+    second: first_pass solves m x = e_0 by LU, or by GMRES to relative
+    residual 1e-8; finish refines that x once by GMRES (after LU, x is
+    final), and returns the unit-trace Hermitian state with its residual
+    check.
     """
 
     def __init__(self, l: Superoperator):
         self.l = l
         self.m = m = _trace_row_matrix(l.matrix, l.space.dim)
+        self._e0 = e0 = np.zeros(m.shape[0], dtype=complex)
+        e0[0] = 1.0
         if l.space.n_atoms < 2 or l.space.dim < KRYLOV_MIN_DIM:
             try:
                 lu = spla.splu(m.tocsc())
             except RuntimeError:
                 raise DegenerateSteadyStateError(math.inf) from None
             self._probe = self._solve = lu.solve
+            self._refine = lambda x: x
             return
         precondition = _no_jump_inverse(l.h_eff)
 
@@ -149,10 +159,12 @@ class _TraceRowSystem:
                 raise DegenerateSteadyStateError(math.inf, str(exc)) from None
 
         def solve(rhs):
-            x = _gmres(m, rhs, precondition, 1e-8)
-            return x + _gmres(m, rhs - m @ x, precondition, 1e-8)
+            return _gmres(m, rhs, precondition, 1e-8)
 
-        self._probe, self._solve = probe, solve
+        def refine(x):
+            return x + _gmres(m, e0 - m @ x, precondition, 1e-8)
+
+        self._probe, self._solve, self._refine = probe, solve, refine
 
     def condition(self) -> float:
         """The 1-norm condition estimate of m, or DegenerateSteadyStateError
@@ -165,19 +177,28 @@ class _TraceRowSystem:
             raise DegenerateSteadyStateError(condition)
         return condition
 
-    def solve(self) -> tuple[DensityMatrix, float]:
-        """The unit-trace state and its residual |L rho|, or SteadyStateError
-        when the residual exceeds 1e-9 dim."""
+    def first_pass(self) -> np.ndarray:
+        """x with m x = e_0: the LU solution, or GMRES's to 1e-8."""
+        return self._solve(self._e0)
+
+    def state(self, x: np.ndarray) -> DensityMatrix:
+        """The unit-trace Hermitian part of vec(rho) = x, unchecked."""
         dim = self.l.space.dim
-        b = np.zeros(self.m.shape[0], dtype=complex)
-        b[0] = 1.0
-        rho = self._solve(b).reshape(dim, dim)
+        rho = x.reshape(dim, dim)
         rho = (rho + rho.conj().T) / 2 / np.trace(rho).real
-        residual = float(np.linalg.norm(self.l.matrix @ rho.reshape(-1)))
+        return DensityMatrix.from_matrix(self.l.space, rho, check=False)
+
+    def finish(self, x: np.ndarray) -> tuple[DensityMatrix, float]:
+        """The state of first_pass's x, refined once on the GMRES path, and
+        its residual |L rho|, or SteadyStateError when the residual exceeds
+        1e-9 dim."""
+        rho = self.state(self._refine(x))
+        dim = self.l.space.dim
+        residual = float(np.linalg.norm(self.l.matrix @ rho.entries.reshape(-1)))
         if residual > 1e-9 * dim:
             raise SteadyStateError(
                 f"steady-state residual {residual:.3e} exceeds {1e-9 * dim:.3e}")
-        return DensityMatrix.from_matrix(self.l.space, rho, check=False), residual
+        return rho, residual
 
 
 def _trace_row_matrix(lmat: sp.csr_matrix, dim: int) -> sp.csr_matrix:
@@ -363,14 +384,21 @@ def solve_steady(params: SystemParams, n_max: int | None = None) -> SteadySoluti
     """Steady state with automatic Fock-truncation escalation.
 
     The top two Fock populations must stay below TAIL_POPULATION_LIMIT;
-    otherwise n_max grows by 50% (at most three times).  The first
-    truncation is certified before it is solved, as in steady_state, so a
-    degenerate system fails there.  A later one is solved first and
-    certified only if it is returned, on the same factorization or
-    preconditioner; a discarded step is never certified.  Runs with each
-    OpenBLAS copy on one thread, which holds for the whole process while
-    the solve runs (see _one_blas_thread).
+    otherwise n_max grows by 50% (at most three times).  n_max, when given,
+    is at least 1.  The tail is read first from the state of the first pass
+    (see _TraceRowSystem): a step whose tail is too heavy there is discarded
+    unrefined and unchecked, since the refinement moves the tail by far
+    less than the limit.  The step that passes is finished from that same
+    first pass, and escalates after all if the refined state's tail
+    crosses the limit.  The first truncation is certified before it is
+    solved, as in steady_state, so a degenerate system fails there.  A
+    later one is certified only if it is returned, on the same
+    factorization or preconditioner; a discarded step is never certified.
+    Runs with each OpenBLAS copy on one thread, which holds for the whole
+    process while the solve runs (see _one_blas_thread).
     """
+    if n_max is not None and n_max < 1:
+        raise ValueError(f"n_max must be None or an integer >= 1, got {n_max!r}")
     with _one_blas_thread():
         current = n_max if n_max is not None else default_n_max(params)
         for escalation in range(MAX_TRUNCATION_ESCALATIONS + 1):
@@ -380,7 +408,11 @@ def solve_steady(params: SystemParams, n_max: int | None = None) -> SteadySoluti
             system = _TraceRowSystem(build_liouvillian(params, space))
             if not escalation:
                 condition = system.condition()
-            rho, residual = system.solve()
+            x = system.first_pass()
+            tail = fock_populations(system.state(x))[-2:].sum()
+            if tail >= TAIL_POPULATION_LIMIT:
+                continue
+            rho, residual = system.finish(x)
             tail = fock_populations(rho)[-2:].sum()
             if tail < TAIL_POPULATION_LIMIT:
                 if escalation:

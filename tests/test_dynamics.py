@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -269,6 +270,52 @@ def test_failed_escalation_certifies_only_the_first_truncation(probes):
     with pytest.raises(TruncationEscalationError):
         solve_steady(p)
     assert probes == [11]
+
+
+@pytest.mark.parametrize("x2, dims", [
+    # the first truncation is probed and solved; each discarded step is
+    # solved once, with no refinement
+    (100 / 201, [48, 48, 72, 108, 160]),
+    # the returned step is solved, refined and probed
+    (0.37, [48, 48, 72, 72, 72]),
+], ids=["failed", "accepted"])
+def test_discarded_escalation_step_is_solved_once(x2, dims, monkeypatch):
+    real, seen = dynamics._gmres, []
+
+    def counted(m, *args, **kwargs):
+        seen.append(math.isqrt(m.shape[0]))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_gmres", counted)
+    p = _params(positions=(0.0, x2), **_FIG7)
+    with contextlib.suppress(TruncationEscalationError):
+        solve_steady(p)
+    assert seen == dims
+
+
+@pytest.mark.parametrize("x2", [100 / 201, 110 / 201],
+                         ids=["100/201", "110/201"])
+@pytest.mark.parametrize("n_max", [11, 17, 26])
+def test_refinement_moves_the_fock_tail_far_less_than_its_limit(x2, n_max):
+    # solve_steady discards a step on its first-pass tail; the refinement
+    # moved that tail by at most 1.25e-9 on the fig7 lambda/2 band (x2 =
+    # 95, 100, 105 and 110/201, n_max 11 to 39)
+    p = _params(positions=(0.0, x2), **_FIG7)
+    with dynamics._one_blas_thread():
+        system = dynamics._TraceRowSystem(
+            build_liouvillian(p, build_space(p, n_max)))
+        x = system.first_pass()
+        first = fock_populations(system.state(x))[-2:].sum()
+        refined = fock_populations(system.finish(x)[0])[-2:].sum()
+    limit = dynamics.TAIL_POPULATION_LIMIT
+    assert (first < limit) == (refined < limit)
+    assert abs(first - refined) < limit / 4
+
+
+def test_solve_steady_refuses_an_empty_fock_space():
+    # ceil(0 * 1.5) = 0: escalation would solve the zero-photon space again
+    with pytest.raises(ValueError, match="n_max"):
+        solve_steady(_params(), n_max=0)
 
 
 def test_solve_steady_detects_degeneracy_at_the_first_truncation(probes):
