@@ -16,7 +16,6 @@ from .model import (
     build_hamiltonian,
     build_liouvillian,
     build_space,
-    coupling_profile,
     free_space_fluorescence,
 )
 from .dynamics import (
@@ -94,7 +93,6 @@ __all__ = [
     "build_liouvillian",
     "build_space",
     "coherent_state",
-    "coupling_profile",
     "critical_atom_number",
     "displaced_effective_hamiltonian",
     "displacement",

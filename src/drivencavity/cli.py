@@ -189,7 +189,10 @@ def load_config(path: str) -> dict:
 
     out = raw.get("output", {})
     _require_keys(out, {"path", "format"}, "output")
-    cfg["output_path"] = out.get("path")
+    path = out.get("path")
+    if path is not None and not isinstance(path, str):
+        raise ConfigError(f"output.path must be a string, got {path!r}")
+    cfg["output_path"] = path
     cfg["output_format"] = out.get("format", "csv")
     if cfg["output_format"] not in ("csv", "json"):
         raise ConfigError("output.format must be 'csv' or 'json'")

@@ -19,7 +19,7 @@ from .model import (
     K_WAVENUMBER,
     RegimeWarning,
     SystemParams,
-    coupling_profile,
+    mode_function,
     saturation,
 )
 
@@ -51,11 +51,6 @@ class PatternSpec:
         if self.parity not in (0, 1):
             raise ValueError("parity must be 0 (even) or 1 (odd)")
 
-    def positions(self) -> np.ndarray:
-        # integer multiples of lambda keep g(x_n) = +-g0 exactly
-        base = 0.0 if self.parity == 0 else 0.5
-        return base + np.arange(self.n_atoms, dtype=float)
-
 
 def _saturation_ok(params: SystemParams) -> bool:
     n = params.n_atoms
@@ -65,15 +60,14 @@ def _saturation_ok(params: SystemParams) -> bool:
 
 def effective_field_params(params: SystemParams) -> EffectiveFieldParams:
     """Adiabatic-elimination coefficients for an arbitrary set of positions."""
-    prof = coupling_profile(params)
-    g = prof.g_n
+    g, phi_n = mode_function(np.asarray(params.positions), params)
     s_n = saturation(g, params)
     s = float(np.mean(s_n))
     n = params.n_atoms
     gsq = float(np.sum(g ** 2))
     if gsq == 0:
         raise ValueError("all atoms sit at nodes; the medium does not couple")
-    drive = params.omega * np.sum(g * np.exp(1j * prof.phi_n))
+    drive = params.omega * np.sum(g * np.exp(1j * phi_n))
     xi = n * s * (params.delta - 0.5j * params.gamma) * drive / gsq
     return EffectiveFieldParams(
         s_n=tuple(float(v) for v in s_n),

@@ -186,7 +186,7 @@ class _TraceRowSystem:
         dim = self.l.space.dim
         rho = x.reshape(dim, dim)
         rho = (rho + rho.conj().T) / 2 / np.trace(rho).real
-        return DensityMatrix.from_matrix(self.l.space, rho, check=False)
+        return DensityMatrix(self.l.space, rho)
 
     def finish(self, x: np.ndarray) -> tuple[DensityMatrix, float]:
         """The state of first_pass's x, refined once on the GMRES path, and

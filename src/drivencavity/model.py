@@ -84,14 +84,6 @@ class SystemParams:
 
 
 @dataclass(frozen=True)
-class CouplingProfile:
-    """Per-atom mode couplings g(x_n) and pump phases phi_n."""
-
-    g_n: np.ndarray
-    phi_n: np.ndarray
-
-
-@dataclass(frozen=True)
 class Superoperator:
     """Vectorized Lindblad generator: d vec(rho)/dt = matrix @ vec(rho).
 
@@ -110,11 +102,6 @@ def mode_function(x, params: SystemParams):
     kx cos(theta) at x in wavelengths, a float or an array."""
     return (params.g0 * np.cos(K_WAVENUMBER * x),
             K_WAVENUMBER * x * math.cos(params.theta))
-
-
-def coupling_profile(params: SystemParams) -> CouplingProfile:
-    g_n, phi_n = mode_function(np.asarray(params.positions), params)
-    return CouplingProfile(g_n=g_n, phi_n=phi_n)
 
 
 def _off_node(g, params: SystemParams) -> float:
@@ -259,11 +246,11 @@ def _hamiltonian_coefficients(params: SystemParams,
     """The coefficient of each term of term_plan(space) in H."""
     if space.n_atoms != params.n_atoms:
         raise SpaceMismatchError("space atom count does not match params")
-    prof = coupling_profile(params)
-    drive = params.pump_amplitudes * np.exp(1j * prof.phi_n)
+    g_n, phi_n = mode_function(np.asarray(params.positions), params)
+    drive = params.pump_amplitudes * np.exp(1j * phi_n)
     coefficients = [-params.delta_c]
     for n in range(params.n_atoms):
-        coefficients += [-params.delta, prof.g_n[n], drive[n],
+        coefficients += [-params.delta, g_n[n], drive[n],
                          np.conj(drive[n])]
     return np.array(coefficients, dtype=complex)
 

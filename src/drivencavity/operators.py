@@ -68,21 +68,9 @@ class Operator:
         _check_same_space(self.space, other.space)
         return Operator(self.space, self.entries @ other.entries)
 
-    def __add__(self, other: "Operator") -> "Operator":
-        _check_same_space(self.space, other.space)
-        return Operator(self.space, self.entries + other.entries)
-
     def __sub__(self, other: "Operator") -> "Operator":
         _check_same_space(self.space, other.space)
         return Operator(self.space, self.entries - other.entries)
-
-    def __neg__(self) -> "Operator":
-        return Operator(self.space, -self.entries)
-
-    def __mul__(self, scalar: complex) -> "Operator":
-        return Operator(self.space, self.entries * scalar)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)

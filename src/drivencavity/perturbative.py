@@ -100,8 +100,8 @@ class BiorthogonalSystem:
         return float(np.abs(s - np.eye(dim)).max())
 
 
-def biorthogonal_eigensystem(h: Operator | np.ndarray) -> BiorthogonalSystem:
-    m = h.entries if isinstance(h, Operator) else np.asarray(h, dtype=complex)
+def biorthogonal_eigensystem(m: np.ndarray) -> BiorthogonalSystem:
+    m = np.asarray(m, dtype=complex)
     w, vl, vr = scipy.linalg.eig(m, left=True, right=True)
     dim = m.shape[0]
     for i in range(dim):
@@ -125,15 +125,11 @@ def biorthogonal_eigensystem(h: Operator | np.ndarray) -> BiorthogonalSystem:
 class PerturbativeState:
     """rho(t) = sum_l kappa^l rho_terms[l], already in the lab frame."""
 
-    order: int
     rho_terms: list[np.ndarray]
-    kappa: float
     space: SpaceDescriptor
-    time: float
 
-    def assemble(self, kappa: float | None = None) -> DensityMatrix:
-        k = self.kappa if kappa is None else kappa
-        m = sum(k**l * term for l, term in enumerate(self.rho_terms))
+    def assemble(self, kappa: float) -> DensityMatrix:
+        m = sum(kappa**l * term for l, term in enumerate(self.rho_terms))
         return DensityMatrix.from_matrix(self.space, m, check=False)
 
 
@@ -197,8 +193,7 @@ def perturbative_state(params: SystemParams, t: float, order: int = 2,
     # back to the lab frame
     d = displacement(space, beta).entries
     lab_terms = [d @ m @ d.conj().T for m in rho_terms]
-    return PerturbativeState(order=order, rho_terms=lab_terms,
-                             kappa=params.kappa, space=space, time=float(t))
+    return PerturbativeState(rho_terms=lab_terms, space=space)
 
 
 class SmallKappaRates(NamedTuple):

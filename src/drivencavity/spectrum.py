@@ -20,7 +20,7 @@ from .model import (
     mode_function,
 )
 from .operators import atomic_lowering, expectation
-from .dynamics import observables, solve_steady
+from .dynamics import solve_steady
 
 
 class SpectrumDomainError(ValueError):
@@ -98,21 +98,18 @@ def resonances(params: SystemParams) -> ResonancePair:
 
 
 def probe_stark_shift(x_probe: float, delta_2: float, params: SystemParams,
-                      alpha_ss: complex | None = None) -> float:
+                      alpha_ss: complex) -> float:
     """a.c.-Stark shift of a far-detuned probe atom at position x_probe.
 
     Dispersive second order in the local field, |Omega e^{i phi} +
-    g(x') <a>_ss|^2 / Delta_2, with the mean field of the unperturbed
-    steady state (pass alpha_ss to avoid re-solving on a sweep).
+    g(x') <a>_ss|^2 / Delta_2, with alpha_ss = <a>_ss the mean field of
+    the unperturbed steady state.
     """
     if delta_2 == 0:
         raise ValueError("probe-atom detuning must be nonzero")
     if abs(delta_2) < 10 * max(abs(params.g0), abs(params.omega)):
         warnings.warn("dispersive treatment needs |Delta_2| >> g0, Omega",
                       RegimeWarning, stacklevel=2)
-    if alpha_ss is None:
-        sol = solve_steady(params)
-        alpha_ss = observables(sol.rho, params).alpha
     g_probe, phi_probe = mode_function(x_probe, params)
     field = params.omega * np.exp(1j * phi_probe) + g_probe * alpha_ss
     return float(abs(field) ** 2 / delta_2)

@@ -64,12 +64,23 @@ def test_missing_config_file_is_config_error():
     assert main(["validate", "/nonexistent/cfg.json"]) == EXIT_CONFIG
 
 
+def test_config_file_that_is_no_json_object_is_config_error(tmp_path):
+    not_json = tmp_path / "not.json"
+    not_json.write_text("{'mode': 'steady'", encoding="utf-8")
+    assert main(["validate", str(not_json)]) == EXIT_CONFIG
+    listed = _write_cfg(tmp_path, [{"mode": "steady", "params": BASE_PARAMS}])
+    assert main(["validate", listed]) == EXIT_CONFIG
+
+
 @pytest.mark.parametrize("sweep", [
     {"param": "kappa", "start": 1.0, "stop": 0.1, "points": 5},
     {"param": "kappa", "start": 0.1, "stop": 1.0, "points": 1},
     {"param": "nonsense", "start": 0.1, "stop": 1.0, "points": 3},
     {"param": "kappa", "start": 0.0, "stop": 1.0, "points": 3,
      "scale": "log"},
+    {"param": "kappa", "start": 0.1, "points": 3},
+    {"param": "kappa", "start": 0.1, "stop": 1.0, "points": 3,
+     "scale": "cubic"},
 ])
 def test_sweep_validation(tmp_path, sweep):
     cfg_path = _write_cfg(tmp_path, {
@@ -147,6 +158,16 @@ def test_sweep_validation(tmp_path, sweep):
                     kappa=1.0, omega_n=[5.0, 0.01])},
     {"mode": "spectrum",
      "params": dict(BASE_PARAMS, g0=1.0, kappa=0.0, omega_n=[1e-5])},
+    # a format, worker count or params object out of range, and a sweep2
+    # without a sweep
+    {"output": {"format": "xml"}},
+    {"n_workers": 0},
+    {"params": None},
+    {"params": dict(BASE_PARAMS, gamma=0.0)},
+    {"sweep2": {"param": "kappa", "start": 0.1, "stop": 1.0, "points": 3}},
+    # output.path names a file; a number or a list names none
+    {"output": {"path": 5}},
+    {"output": {"path": ["x"]}},
 ])
 def test_malformed_field_is_config_error(tmp_path, overrides):
     cfg = _write_cfg(tmp_path, dict({
@@ -200,6 +221,14 @@ def test_env_caps_workers(monkeypatch):
     assert resolve_workers(16) == 2
     monkeypatch.delenv("SIMULATE_MAX_WORKERS")
     assert resolve_workers(16) == 16
+
+
+def test_non_integer_worker_cap_is_config_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("SIMULATE_MAX_WORKERS", "two")
+    cfg_path = _write_cfg(tmp_path, {
+        "mode": "steady", "params": BASE_PARAMS,
+        "output": {"path": str(tmp_path / "o.csv"), "format": "csv"}})
+    assert main(["run", cfg_path]) == EXIT_CONFIG
 
 
 def test_two_dimensional_sweep(tmp_path):
@@ -760,6 +789,20 @@ def test_json_output(tmp_path):
     assert "re_alpha" in payload["columns"]
     assert "im_alpha" in payload["columns"]
     assert len(payload["rows"]) == 1
+
+
+def test_figure_config_runs_its_preset(tmp_path):
+    out = tmp_path / "o.json"
+    cfg_path = _write_cfg(tmp_path, {
+        "mode": "figure", "figure": "fig2a", "points": 3,
+        "output": {"path": str(out), "format": "json"}})
+    assert main(["run", cfg_path]) == EXIT_OK
+    expected = tmp_path / "expected.json"
+    cli.write_json(run_figure("fig2a", points=3), str(expected))
+    assert out.read_bytes() == expected.read_bytes()
+    metadata = json.loads(out.read_text())["metadata"]
+    assert metadata["figure"] == "fig2a"
+    assert metadata["grid_size"] == 3
 
 
 def test_installed_entry_point(tmp_path):

@@ -13,8 +13,8 @@ from drivencavity.model import (
     build_hamiltonian,
     build_liouvillian,
     build_space,
-    coupling_profile,
     free_space_fluorescence,
+    mode_function,
     term_plan,
 )
 from drivencavity.operators import (
@@ -60,9 +60,9 @@ def test_jaynes_cummings_coupling_element():
 def test_perpendicular_pump_has_zero_phases():
     p = SystemParams(positions=(0.13, 0.77, 0.5), g0=1.0, omega=1.0,
                      kappa=0.0, theta=math.pi / 2)
-    prof = coupling_profile(p)
-    assert np.allclose(prof.phi_n, 0.0, atol=1e-12)
-    assert np.all(np.abs(prof.g_n) <= p.g0 + 1e-15)
+    g_n, phi_n = mode_function(np.asarray(p.positions), p)
+    assert np.allclose(phi_n, 0.0, atol=1e-12)
+    assert np.all(np.abs(g_n) <= p.g0 + 1e-15)
 
 
 def test_hamiltonian_hermitian_random_params():
@@ -189,15 +189,15 @@ def test_params_validation():
 
 def _reference(params, space):
     """(H, h_eff, L) from Kronecker products of the full operators."""
-    prof = coupling_profile(params)
+    g_n, phi_n = mode_function(np.asarray(params.positions), params)
     a = annihilation(space).entries
     h = -params.delta_c * (a.conj().T @ a)
     collapses = []
     for n in range(params.n_atoms):
         sig = atomic_lowering(space, n).entries
-        drive = params.pump_amplitudes[n] * np.exp(1j * prof.phi_n[n])
+        drive = params.pump_amplitudes[n] * np.exp(1j * phi_n[n])
         h = (h - params.delta * (sig.conj().T @ sig)
-             + prof.g_n[n] * (a @ sig.conj().T + a.conj().T @ sig)
+             + g_n[n] * (a @ sig.conj().T + a.conj().T @ sig)
              + drive * sig.conj().T + np.conj(drive) * sig)
         collapses.append((params.gamma, sig))
     if params.kappa != 0:

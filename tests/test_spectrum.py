@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from drivencavity.dynamics import solve_steady
+from drivencavity.dynamics import observables, solve_steady
 from drivencavity.model import RegimeWarning, SystemParams, build_liouvillian
 from drivencavity.operators import atomic_lowering, expectation
 from drivencavity.spectrum import (
@@ -112,13 +112,15 @@ def test_strong_probe_warns():
 
 def test_stark_shift_vanishes_at_pumping_atom():
     p = _params(g0=1.0, omega=1.0, kappa=0.0)
-    assert abs(probe_stark_shift(0.0, 1000.0, p)) < 1e-10
+    alpha = observables(solve_steady(p).rho, p).alpha
+    assert abs(probe_stark_shift(0.0, 1000.0, p, alpha)) < 1e-10
 
 
 def test_stark_shift_zeros_recur_at_wavelength():
     p = _params(g0=1.0, omega=1.0, kappa=0.0)
-    assert abs(probe_stark_shift(1.0, 1000.0, p)) < 1e-10
-    assert abs(probe_stark_shift(2.0, 1000.0, p)) < 1e-10
+    alpha = observables(solve_steady(p).rho, p).alpha
+    assert abs(probe_stark_shift(1.0, 1000.0, p, alpha)) < 1e-10
+    assert abs(probe_stark_shift(2.0, 1000.0, p, alpha)) < 1e-10
 
 
 def test_stark_shift_never_vanishes_with_cavity_loss():
