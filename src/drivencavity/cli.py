@@ -2,11 +2,11 @@
 
 Outputs are deterministic: floats are written with 17 significant digits,
 column order is fixed, and sweep rows are assembled in grid order no matter
-how many workers computed them.  Workers are forked processes, at most one
-per distinct system and per core this process may run on, each on one BLAS
-thread; where the fork start method is unavailable a sweep runs serially.
-Set SIMULATE_MAX_WORKERS to cap parallelism regardless of what a config or
---workers asks for.
+how many workers computed them.  Workers are forked processes, no more than
+--workers (else a config's n_workers), the distinct systems or the cores
+this process may run on (its CPU affinity: `taskset -c 0-3 simulate ...`
+caps a run at four), each on one BLAS thread; where the fork start method is
+unavailable a sweep runs serially.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_REGIME = 4
-
-WORKER_ENV = "SIMULATE_MAX_WORKERS"
 
 NAN = float("nan")
 
@@ -387,17 +385,6 @@ _MODE_COLUMNS = {
 }
 
 
-def resolve_workers(requested: int | None) -> int:
-    n = requested if requested and requested > 0 else 1
-    cap = os.environ.get(WORKER_ENV)
-    if cap is not None:
-        try:
-            n = min(n, max(1, int(cap)))
-        except ValueError:
-            raise ConfigError(f"{WORKER_ENV} must be an integer") from None
-    return n
-
-
 def _usable_cores() -> int:
     """The cores this process may run on: its CPU affinity where the
     platform reports one (taskset, a cgroup cpuset), else the core count."""
@@ -533,7 +520,7 @@ def _sweep(grid: list, sources: list, n_workers: int | None,
             plan[over] = (index, renames)
         plans.append((known, plan))
 
-    solved = _map_ordered(_solve_or_none, systems, resolve_workers(n_workers))
+    solved = _map_ordered(_solve_or_none, systems, n_workers or 1)
     rows, failed = [], 0
     for known, plan in plans:
         if any(solved[index] is None for index, _ in plan.values()):

@@ -1,10 +1,11 @@
 """Many-atom regime with the dipoles adiabatically eliminated.
 
-Below saturation the atoms act as a linear medium: the cavity field obeys
-a damped, driven harmonic-oscillator master equation with an atom-induced
-decay rate gamma' = N s gamma, a Stark-shifted detuning
-delta' = delta_c - N s Delta and an effective drive xi mediated by the
-collective dipole.  Everything here is closed-form in those quantities.
+Below saturation the atoms act as a linear medium: they add the response
+R = N s (gamma/2 + i Delta) to the cavity's own kappa/2 - i delta_c, so the
+field obeys a damped, driven harmonic-oscillator master equation with an
+atom-induced decay rate gamma' = 2 Re R, a detuning delta' = delta_c - Im R
+and a drive xi = -i R Omega sum_n g_n e^{i phi_n} / sum_n g_n^2 mediated by
+the collective dipole.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from .model import (
     mode_function,
     saturation,
 )
-
-HBAR = 1.0
 
 
 @dataclass(frozen=True)
@@ -52,6 +51,11 @@ class PatternSpec:
             raise ValueError("parity must be 0 (even) or 1 (odd)")
 
 
+def _response(n_s: float, params: SystemParams) -> complex:
+    """R = N s (gamma/2 + i Delta) for n_s = N s: the atoms' field response."""
+    return n_s * (params.gamma / 2 + 1j * params.delta)
+
+
 def _saturation_ok(params: SystemParams) -> bool:
     n = params.n_atoms
     lhs = math.hypot(params.gamma / 2, params.delta)
@@ -63,18 +67,17 @@ def effective_field_params(params: SystemParams) -> EffectiveFieldParams:
     g, phi_n = mode_function(np.asarray(params.positions), params)
     s_n = saturation(g, params)
     s = float(np.mean(s_n))
-    n = params.n_atoms
     gsq = float(np.sum(g ** 2))
     if gsq == 0:
         raise ValueError("all atoms sit at nodes; the medium does not couple")
     drive = params.omega * np.sum(g * np.exp(1j * phi_n))
-    xi = n * s * (params.delta - 0.5j * params.gamma) * drive / gsq
+    r = _response(params.n_atoms * s, params)
     return EffectiveFieldParams(
         s_n=tuple(float(v) for v in s_n),
         s_mean=s,
-        gamma_prime=n * s * params.gamma,
-        delta_prime=params.delta_c - n * s * params.delta,
-        xi=complex(xi),
+        gamma_prime=2 * r.real,
+        delta_prime=params.delta_c - r.imag,
+        xi=complex(-1j * r * drive / gsq),
         regime_valid=_saturation_ok(params),
     )
 
@@ -92,32 +95,28 @@ def adiabatic_alpha(params: SystemParams) -> complex:
 def in_phase_alpha(pattern: PatternSpec, params: SystemParams) -> complex:
     """Cavity amplitude when all atoms scatter in phase (periodic pattern).
 
-    alpha_0 = -(Omega/g) N s (gamma/2 + i Delta)
-              / [N s (gamma/2 + i Delta) + kappa/2 - i delta_c]
-    with g the common coupling at the pattern sites.  For kappa = 0 and
-    delta_c = 0 this reduces to -Omega/g independent of N and Delta.
+    alpha_0 = -(Omega/g) R / (R + kappa/2 - i delta_c)
+    with g the common coupling at the pattern sites and R their response
+    (see the module docstring).  For kappa = 0 and delta_c = 0 this
+    reduces to -Omega/g independent of N and Delta.
     """
     gbar = params.g0 if pattern.parity == 0 else -params.g0
-    n = pattern.n_atoms
-    s = saturation(gbar, params)
-    num = n * s * (params.gamma / 2 + 1j * params.delta)
-    return -(params.omega / gbar) * num / (
-        num + params.kappa / 2 - 1j * params.delta_c)
+    r = _response(pattern.n_atoms * saturation(gbar, params), params)
+    return -(params.omega / gbar) * r / (
+        r + params.kappa / 2 - 1j * params.delta_c)
 
 
 def excited_population(pattern: PatternSpec, params: SystemParams) -> float:
-    """Excited-state population of one atom in the in-phase pattern.
+    """Excited-state population of one atom in the in-phase pattern: the
+    saturation of its local field Omega + g alpha_0, which is
+    Omega (kappa/2 - i delta_c) / (R + kappa/2 - i delta_c).
 
-    Vanishes at kappa = 0, delta_c = 0: the cavity field interferes
+    Exactly 0 at kappa = 0, delta_c = 0: the cavity field interferes
     destructively with the pump at every atom.
     """
-    n = pattern.n_atoms
-    s = saturation(params.g0, params)
-    gp = n * s * params.gamma
-    dp = params.delta_c - n * s * params.delta
-    return saturation(params.omega, params) \
-        * (params.kappa ** 2 / 4 + params.delta_c ** 2) \
-        / ((gp + params.kappa) ** 2 / 4 + dp ** 2)
+    cavity = params.kappa / 2 - 1j * params.delta_c
+    r = _response(pattern.n_atoms * saturation(params.g0, params), params)
+    return saturation(abs(params.omega * cavity / (r + cavity)), params)
 
 
 def emission_rates(pattern: PatternSpec, params: SystemParams
@@ -155,10 +154,10 @@ class ForceCoefficients:
 
 
 def force_coefficients(params: SystemParams) -> ForceCoefficients:
-    s = saturation(params.g0, params)
+    r = _response(saturation(params.g0, params), params)
     return ForceCoefficients(
-        u0=s * params.delta,
-        gamma0=s * params.gamma / 2,
+        u0=r.imag,
+        gamma0=r.real,
         eta_eff=params.omega * params.g0 / (-1j * params.delta
                                             + params.gamma / 2),
     )
@@ -175,20 +174,20 @@ def semiclassical_force(x_n: float, alpha: complex,
                         params: SystemParams) -> float:
     """Force on an atom at x_n given the cavity amplitude alpha:
 
-    F = hbar k U0 |alpha|^2 sin(2 k x) + 2 hbar k Im{eta_eff* alpha} sin(k x)
+    F = k U0 |alpha|^2 sin(2 k x) + 2 k Im{eta_eff* alpha} sin(k x)
 
     It vanishes identically at the antinodes kx = 0, pi, which are the
     candidate equilibrium sites of the self-organized patterns.
     """
     c = force_coefficients(params)
     k = K_WAVENUMBER
-    return HBAR * k * c.u0 * abs(alpha) ** 2 * _sin_turns(2.0 * x_n) \
-        + 2 * HBAR * k * (np.conj(c.eta_eff) * alpha).imag * _sin_turns(x_n)
+    return k * c.u0 * abs(alpha) ** 2 * _sin_turns(2.0 * x_n) \
+        + 2 * k * (np.conj(c.eta_eff) * alpha).imag * _sin_turns(x_n)
 
 
 def restoring_coefficient(pattern: PatternSpec, params: SystemParams) -> float:
     """Linear force coefficient for a small displacement off an antinode:
-    delta f ~ 2 hbar k^2 (Omega/g0)^2 (delta_c / N) delta x.
+    delta f ~ 2 k^2 (Omega/g0)^2 (delta_c / N) delta x.
 
     Negative (restoring) for delta_c < 0, independent of Delta.  Valid when
     |delta_c|/N is small enough that the intracavity field stays pinned at
@@ -196,13 +195,13 @@ def restoring_coefficient(pattern: PatternSpec, params: SystemParams) -> float:
     """
     if params.g0 == 0:
         raise ValueError("g0 must be nonzero")
-    # the pattern's atom-induced field decay rate gamma' = N s gamma
-    s = saturation(params.g0, params)
-    gamma_prime = pattern.n_atoms * s * params.gamma
+    # the pattern's atom-induced field decay rate gamma' = 2 Re R
+    r = _response(pattern.n_atoms * saturation(params.g0, params), params)
+    gamma_prime = 2 * r.real
     if abs(params.delta_c) > 0.5 * (gamma_prime + params.kappa):
         warnings.warn("|delta_c| is not small against the field linewidth; "
                       "the linearized force is unreliable",
                       RegimeWarning, stacklevel=2)
-    return 2 * HBAR * K_WAVENUMBER ** 2 * (params.omega / params.g0) ** 2 \
+    return 2 * K_WAVENUMBER ** 2 * (params.omega / params.g0) ** 2 \
         * params.delta_c / pattern.n_atoms
 

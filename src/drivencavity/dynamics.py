@@ -22,7 +22,6 @@ from .model import (
     Superoperator,
     build_liouvillian,
     build_space,
-    default_n_max,
     term_plan,
 )
 from .operators import (
@@ -78,8 +77,7 @@ class TruncationEscalationError(RuntimeError):
 class ObservableSet:
     """Stationary (or instantaneous) observables of a state."""
 
-    i_at_per_atom: np.ndarray      # gamma <sig_n^dag sig_n>
-    i_at_total: float
+    i_at_total: float              # gamma sum_n <sig_n^dag sig_n>
     i_cav: float                   # kappa <a^dag a>
     mean_n: float
     alpha: complex                 # <a>
@@ -257,8 +255,10 @@ def _gmres(m, rhs, precondition, rtol: float, max_cycles: int = 10):
 
 def evolve(rho0: DensityMatrix, l: Superoperator,
            t_final: float) -> DensityMatrix:
-    """Integrate d rho/dt = L rho with an adaptive explicit stepper, to
-    relative tolerance 1e-10 and absolute tolerance 1e-12."""
+    """Integrate d rho/dt = L rho to a finite t_final >= 0 with an adaptive
+    explicit stepper, to tolerances 1e-10 (relative) and 1e-12 (absolute)."""
+    if not 0 <= t_final < math.inf:
+        raise ValueError(f"t_final must be finite and >= 0, got {t_final!r}")
     if t_final == 0:
         return rho0
     lmat = l.matrix
@@ -290,7 +290,6 @@ def observables(rho: DensityMatrix, params: SystemParams) -> ObservableSet:
     a = plan.annihilation
     alpha = complex(a.data @ rho.entries[a.col, a.row])
     pi_e = traces[plan.atom_populations].real
-    i_at_per_atom = params.gamma * pi_e
     g2: float | None
     if mean_n < G2_DEFINED_THRESHOLD:
         g2 = None
@@ -300,8 +299,7 @@ def observables(rho: DensityMatrix, params: SystemParams) -> ObservableSet:
         n2 = ((n * (n - 1)) @ at_terms).real
         g2 = n2 / mean_n**2
     return ObservableSet(
-        i_at_per_atom=i_at_per_atom,
-        i_at_total=float(i_at_per_atom.sum()),
+        i_at_total=float((params.gamma * pi_e).sum()),
         i_cav=float(params.kappa * mean_n),
         mean_n=float(mean_n),
         alpha=alpha,
@@ -400,7 +398,7 @@ def solve_steady(params: SystemParams, n_max: int | None = None) -> SteadySoluti
     if n_max is not None and n_max < 1:
         raise ValueError(f"n_max must be None or an integer >= 1, got {n_max!r}")
     with _one_blas_thread():
-        current = n_max if n_max is not None else default_n_max(params)
+        current = build_space(params, n_max).n_max
         for escalation in range(MAX_TRUNCATION_ESCALATIONS + 1):
             if escalation:
                 current = math.ceil(current * 1.5)

@@ -18,8 +18,8 @@ from .model import (
     build_liouvillian,
     build_space,
     mode_function,
+    term_plan,
 )
-from .operators import atomic_lowering, expectation
 from .dynamics import solve_steady
 
 
@@ -155,35 +155,39 @@ def probe_response_numeric(delta_p: float, params: SystemParams,
     are stacked into one sparse matrix, so each right-hand side is one
     product.  Integrated by DOP853 (scipy.integrate.ode) on the real and
     imaginary parts of vec(rho), to tolerances 1e-8 (relative) and 1e-10
-    (absolute) on each part.
+    (absolute) on each part.  t_final must be finite and positive.
     """
+    if not 0 < t_final < math.inf:
+        raise ValueError(f"t_final must be finite and > 0, got {t_final!r}")
     sol = solve_steady(params, n_max=n_max)
     space = sol.space
     l = build_liouvillian(params, space)
-    sig = atomic_lowering(space, 0)
-    excited = sig.dag() @ sig
-    i_at_ss = params.gamma * expectation(excited, sol.rho).real
-
+    # atom 0's sig, |g><e| with unit entries: sig^dag sig is diagonal, with
+    # ones at sig's columns, so tr(sig^dag sig rho) sums these entries of
+    # vec(rho)
+    sig = term_plan(space).collapses[0]
     dim = space.dim
+    populations = sig.col * (dim + 1)
+
+    def i_at(vec_rho: np.ndarray) -> float:
+        return params.gamma * float(vec_rho[populations].real.sum())
+
     one = sp.identity(dim, format="csr")
     commutators = [
         -1j * probe.omega_p_tilde * (sp.kron(s, one) - sp.kron(one, s.T))
-        for s in (sp.csr_matrix(sig.dag().entries), sp.csr_matrix(sig.entries))]
+        for s in (sig.T, sig)]
     stacked = sp.vstack([l.matrix, *commutators], format="csr")
 
+    rho_ss = sol.rho.entries.reshape(-1).astype(complex)
     solver = _dop853_solver()
     solver.set_f_params(stacked, delta_p)
-    solver.set_initial_value(
-        sol.rho.entries.reshape(-1).astype(complex).view(float), 0.0)
-    # sig^dag sig is diagonal: tr(sig^dag sig rho) sums these entries of
-    # vec(rho)
-    populations = np.flatnonzero(excited.entries.diagonal()) * (dim + 1)
-    pops = []
+    solver.set_initial_value(rho_ss.view(float), 0.0)
+    samples = []
     for t in np.linspace(0.5 * t_final, t_final, 81):
         y = solver.integrate(t)
         if not solver.successful():
             raise RuntimeError(
                 f"probe integration failed at t={solver.t:g}: "
                 f"DOP853 return code {solver.get_return_code()}")
-        pops.append(y.view(complex)[populations].real.sum())
-    return params.gamma * float(np.mean(pops)) - i_at_ss
+        samples.append(i_at(y.view(complex)))
+    return float(np.mean(samples)) - i_at(rho_ss)

@@ -20,7 +20,6 @@ from drivencavity.cli import (
     ConfigError,
     load_config,
     main,
-    resolve_workers,
     run_config,
     run_figure,
     write_csv,
@@ -214,21 +213,6 @@ def test_worker_count_does_not_change_rows(tmp_path):
     r1 = run_config(cfg, n_workers=1)
     r8 = run_config(cfg, n_workers=8)
     assert r1.rows == r8.rows
-
-
-def test_env_caps_workers(monkeypatch):
-    monkeypatch.setenv("SIMULATE_MAX_WORKERS", "2")
-    assert resolve_workers(16) == 2
-    monkeypatch.delenv("SIMULATE_MAX_WORKERS")
-    assert resolve_workers(16) == 16
-
-
-def test_non_integer_worker_cap_is_config_error(tmp_path, monkeypatch):
-    monkeypatch.setenv("SIMULATE_MAX_WORKERS", "two")
-    cfg_path = _write_cfg(tmp_path, {
-        "mode": "steady", "params": BASE_PARAMS,
-        "output": {"path": str(tmp_path / "o.csv"), "format": "csv"}})
-    assert main(["run", cfg_path]) == EXIT_CONFIG
 
 
 def test_two_dimensional_sweep(tmp_path):
@@ -803,6 +787,15 @@ def test_figure_config_runs_its_preset(tmp_path):
     metadata = json.loads(out.read_text())["metadata"]
     assert metadata["figure"] == "fig2a"
     assert metadata["grid_size"] == 3
+
+
+def test_readme_example_config_validates(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = readme.read_text(encoding="utf-8").split("```json\n")[1:]
+    assert len(blocks) == 1
+    path = tmp_path / "example.json"
+    path.write_text(blocks[0].split("```")[0], encoding="utf-8")
+    assert main(["validate", str(path)]) == EXIT_OK
 
 
 def test_installed_entry_point(tmp_path):

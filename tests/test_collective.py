@@ -13,7 +13,7 @@ from drivencavity.collective import (
     restoring_coefficient,
     semiclassical_force,
 )
-from drivencavity.model import RegimeWarning, SystemParams
+from drivencavity.model import RegimeWarning, SystemParams, saturation
 
 
 def _params(n=1, **kw):
@@ -70,6 +70,32 @@ def test_lossless_resonant_field_is_pump_over_coupling():
         pn = _params(delta=delta)
         assert in_phase_alpha(PatternSpec(n), pn) == pytest.approx(
             -pn.omega / pn.g0)
+
+
+def _pattern_params(n, parity, **kw):
+    """n in-phase atoms at x = 0 (parity 0) or x = 1/2 (parity 1), the pump
+    perpendicular to the cavity axis, within the adiabatic regime."""
+    base = dict(positions=(0.5 * parity,) * n, g0=0.1, omega=0.05,
+                kappa=0.3, delta=1.0, delta_c=0.2, theta=np.pi / 2)
+    base.update(kw)
+    p = SystemParams(**base)
+    assert effective_field_params(p).regime_valid
+    return p
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_in_phase_pattern_agrees_with_the_effective_field(n, parity):
+    p = _pattern_params(n, parity)
+    pattern = PatternSpec(n, parity)
+    alpha = in_phase_alpha(pattern, p)
+    assert alpha == pytest.approx(adiabatic_alpha(p), rel=1e-12)
+    # pi_e saturates on the local field Omega + g alpha at each atom
+    g = p.g0 if parity == 0 else -p.g0
+    assert excited_population(pattern, p) == pytest.approx(
+        saturation(abs(p.omega + g * alpha), p), rel=1e-12)
+    dark = _pattern_params(n, parity, kappa=0.0, delta_c=0.0)
+    assert excited_population(pattern, dark) == 0.0
 
 
 def test_large_n_limit_of_field():

@@ -164,6 +164,14 @@ def test_evolve_zero_generator_is_identity_map():
     assert trace_distance(rho0, rho_t) < 1e-10
 
 
+@pytest.mark.parametrize("t_final", [-2.0, math.inf, math.nan])
+def test_evolve_refuses_a_negative_or_non_finite_time(t_final):
+    p = _params()
+    space = build_space(p, n_max=2)
+    with pytest.raises(ValueError, match="t_final"):
+        evolve(ground_state(space), build_liouvillian(p, space), t_final)
+
+
 def test_free_cavity_decay_exponential():
     p = _params(omega=0.0, g0=0.0, kappa=0.7)
     space = build_space(p, n_max=6)

@@ -179,6 +179,14 @@ def test_numeric_probe_matches_the_commutator_reference(delta_p):
         == pytest.approx(reference, rel=1e-7)
 
 
+@pytest.mark.parametrize("t_final", [-5.0, 0.0, float("inf"), float("nan")])
+def test_numeric_probe_refuses_a_non_positive_or_non_finite_time(t_final):
+    p = _params(g0=10.0, kappa=1e-3)
+    with pytest.raises(ValueError, match="t_final"):
+        probe_response_numeric(10.0, p, ProbeParams(0.05), n_max=2,
+                               t_final=t_final)
+
+
 def test_numeric_probe_leaves_no_solver_behind():
     # scipy's DOP853 wrapper keeps every solver it runs alive
     def live_solvers():
