@@ -264,6 +264,9 @@ def _check_point(point: dict) -> None:
             PatternSpec(point["n_atoms"], point["parity"])
         except ValueError as exc:
             raise ConfigError(f"invalid pattern: {exc}") from None
+        if point["params"].g0 == 0:
+            raise ConfigError("params.g0 must be nonzero in mode 'collective': "
+                              "its closed forms divide by the coupling")
     if mode == "evolve" and point["t_final"] < 0:
         raise ConfigError("evolve.t_final must be >= 0")
 

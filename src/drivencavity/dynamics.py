@@ -35,6 +35,16 @@ from .operators import (
 # estimate exceeds this bound (a relative null-space threshold of 1e-10).
 DEGENERACY_CONDITION_LIMIT = 1e10
 
+# Where the steady state is unique by structure (see _TraceRowSystem), the
+# probe's condition estimate is taken to be at most this multiple of the
+# scale |m|_1 / (the smallest positive decay rate, min(kappa, gamma)).  On
+# 280 seeded systems (N = 1-3, kappa 1e-6 to 100, g0 1e-3 to 20, Omega <=
+# g0, Delta and delta_c 0 or up to +-100, n_max 1 to 39, dim <= 216) and a
+# grid of 1536 small ones (N = 1-2, n_max 1-5, g0 down to 0) the estimate
+# reached 1.45 times the scale, and the exact 1-norm condition number, of
+# which it is a lower bound, 22.6 times it (one atom, n_max 24).
+CONDITION_SCALE_BOUND = 100.0
+
 # steady_state solves by sparse LU below this Hilbert-space dimension and by
 # preconditioned GMRES from it on, where LU fill dominates, when there are two
 # or more atoms.  One atom stays on LU at every size: its fill grows slowly,
@@ -92,7 +102,9 @@ class SteadySolution:
     n_max: int
     residual: float                # |L rho|
     escalations: int
-    condition: float               # steady_state's estimate, at n_max
+    condition: float               # the bound that certified the state
+    certified: str                 # "structure" or "estimate" (see
+                                   # _TraceRowSystem.condition)
 
 
 def steady_state(l: Superoperator) -> DensityMatrix:
@@ -108,12 +120,17 @@ def steady_state(l: Superoperator) -> DensityMatrix:
     rounding noise on all of them, which near-dark states cannot afford.)
 
     The state is certified before it is solved for: a degenerate null space
-    makes m singular.  DegenerateSteadyStateError is raised when the LU
-    factorization fails, when GMRES cannot solve m against a fixed random
-    vector r to 1e-6 in three restart cycles, or when the 1-norm condition
-    estimate |m| |m^-1 r| / |r| exceeds DEGENERACY_CONDITION_LIMIT.  A
-    state whose residual |L rho| exceeds 1e-9 dim, or a GMRES solve that
-    does not converge, is a SteadyStateError.  In that order: the probe,
+    makes m singular.  Where kappa > 0 (and gamma > 0) the state is unique
+    on every truncation (see _TraceRowSystem), and m is certified without a
+    solve when CONDITION_SCALE_BOUND |m|_1 / min(kappa, gamma) is within
+    DEGENERACY_CONDITION_LIMIT.  Otherwise a probe certifies it: a
+    DegenerateSteadyStateError is raised when GMRES cannot solve m against
+    a fixed random vector r to 1e-6 in three restart cycles, or when the
+    1-norm condition estimate |m| |m^-1 r| / |r| exceeds
+    DEGENERACY_CONDITION_LIMIT.  A failed LU factorization is a
+    DegenerateSteadyStateError before either.  A state whose residual
+    |L rho| exceeds 1e-9 dim, or a GMRES solve that does not converge, is a
+    SteadyStateError.  In that order: the factorization, the certificate,
     the first pass (LU, or GMRES to 1e-8), then the refinement and the
     residual check (see _TraceRowSystem).
     """
@@ -126,13 +143,30 @@ class _TraceRowSystem:
     """m vec(rho) = e_0 for one Liouvillian, set up once (see steady_state).
 
     Construction factors m by sparse LU, or eigendecomposes h_eff for the
-    GMRES preconditioner; the degeneracy probe (condition) and the solve
+    GMRES preconditioner; the degeneracy probe (estimate) and the solve
     both reuse that work, in either order.  The solve comes in two steps,
     so that a caller can read the state after the first and skip the
     second: first_pass solves m x = e_0 by LU, or by GMRES to relative
     residual 1e-8; finish refines that x once by GMRES (after LU, x is
     final), and returns the unit-trace Hermitian state with its residual
     check.
+
+    Why kappa > 0 and gamma > 0 make the steady state unique on every
+    truncation (Spohn, Rev. Mod. Phys. 52, 569 (1980); Baumgartner and
+    Narnhofer, J. Phys. A 41, 395303 (2008)):
+    - The collapse operators sqrt(gamma) sig_n and sqrt(kappa) a commute
+      and are nilpotent on the truncated space.  Their common kernel is
+      that of sum_k rate_k c_k^dag c_k = -2 Im h_eff, which is diagonal:
+      only |g...g, 0> is annihilated by all of them.  At kappa = 0 every
+      |g...g, n> is.
+    - The support of a steady state is invariant under every collapse
+      operator, so it holds a common eigenvector of theirs, which, as they
+      are nilpotent, is in the common kernel: |g...g, 0>.
+    - Two different steady states would give two with orthogonal supports
+      (the positive and negative parts of their difference), and both
+      supports would hold |g...g, 0>.
+    The structure alone does not bound how close m is to singular; the
+    scale |m|_1 / min(kappa, gamma) does, through CONDITION_SCALE_BOUND.
     """
 
     def __init__(self, l: Superoperator):
@@ -164,7 +198,28 @@ class _TraceRowSystem:
 
         self._probe, self._solve, self._refine = probe, solve, refine
 
-    def condition(self) -> float:
+    def scale(self) -> float:
+        """|m|_1 over the smallest positive diagonal entry of -2 Im h_eff, or
+        inf unless exactly one entry is <= 0 (kappa > 0 and gamma > 0)."""
+        decay = -2 * np.diag(self.l.h_eff).imag
+        if np.count_nonzero(decay <= 0) != 1:
+            return math.inf
+        return float(spla.norm(self.m, 1) / decay[decay > 0].min())
+
+    def condition(self) -> tuple[float, str]:
+        """(bound, how) that certifies m, or DegenerateSteadyStateError.
+
+        By "structure": CONDITION_SCALE_BOUND times the scale, when it is
+        within DEGENERACY_CONDITION_LIMIT; nothing is solved.  Else by
+        "estimate": the probe's 1-norm condition estimate, which must be
+        within the limit too.
+        """
+        bound = CONDITION_SCALE_BOUND * self.scale()
+        if bound <= DEGENERACY_CONDITION_LIMIT:
+            return bound, "structure"
+        return self.estimate(), "estimate"
+
+    def estimate(self) -> float:
         """The 1-norm condition estimate of m, or DegenerateSteadyStateError
         when it exceeds DEGENERACY_CONDITION_LIMIT."""
         side = self.m.shape[0]
@@ -405,7 +460,7 @@ def solve_steady(params: SystemParams, n_max: int | None = None) -> SteadySoluti
             space = build_space(params, current)
             system = _TraceRowSystem(build_liouvillian(params, space))
             if not escalation:
-                condition = system.condition()
+                condition, certified = system.condition()
             x = system.first_pass()
             tail = fock_populations(system.state(x))[-2:].sum()
             if tail >= TAIL_POPULATION_LIMIT:
@@ -414,10 +469,11 @@ def solve_steady(params: SystemParams, n_max: int | None = None) -> SteadySoluti
             tail = fock_populations(rho)[-2:].sum()
             if tail < TAIL_POPULATION_LIMIT:
                 if escalation:
-                    condition = system.condition()
+                    condition, certified = system.condition()
                 return SteadySolution(
                     rho=rho, space=space, n_max=current, residual=residual,
                     escalations=escalation, condition=condition,
+                    certified=certified,
                 )
         raise TruncationEscalationError(
             f"Fock tail population {tail:.3e} at n_max={current} is above "

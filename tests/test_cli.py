@@ -167,6 +167,10 @@ def test_sweep_validation(tmp_path, sweep):
     # output.path names a file; a number or a list names none
     {"output": {"path": 5}},
     {"output": {"path": ["x"]}},
+    # the collective closed forms divide by g0, base or swept
+    {"mode": "collective", "params": dict(BASE_PARAMS, g0=0.0)},
+    {"mode": "collective",
+     "sweep": {"param": "g0", "start": -1.0, "stop": 1.0, "points": 3}},
 ])
 def test_malformed_field_is_config_error(tmp_path, overrides):
     cfg = _write_cfg(tmp_path, dict({
