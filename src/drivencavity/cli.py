@@ -429,7 +429,14 @@ def _map_ordered(fn, items, n_workers: int) -> list:
             # not wait on a round trip, many enough that the last task of a
             # sweep keeps the other processes idle only briefly
             chunk = max(1, len(items) // (16 * n_procs))
-            return list(pool.imap(_run_item, range(len(items)), chunk))
+            try:
+                return list(pool.imap(_run_item, range(len(items)), chunk))
+            except Exception:
+                # Pool.terminate() while workers run can hang: let the
+                # queued tasks finish before the exception leaves
+                pool.close()
+                pool.join()
+                raise
 
 
 @dataclass
@@ -604,19 +611,14 @@ def write_json(result: SweepResult, path: str) -> None:
         encoding="utf-8")
 
 
-def _require_directory(directory: Path) -> None:
-    """A ConfigError unless directory exists; checked before a sweep, so a
-    missing one costs no solves."""
-    if not directory.is_dir():
-        raise ConfigError(f"output directory '{directory}' does not exist "
+def _require_output(path: Path) -> None:
+    """A ConfigError unless path's directory exists and path is no
+    directory; checked before a sweep, so a bad path costs no solves."""
+    if not path.parent.is_dir():
+        raise ConfigError(f"output directory '{path.parent}' does not exist "
                           "or is not a directory")
-
-
-def _write(result: SweepResult, path: str, fmt: str) -> None:
-    if fmt == "json":
-        write_json(result, path)
-    else:
-        write_csv(result, path)
+    if path.is_dir():
+        raise ConfigError(f"output path '{path}' is a directory")
 
 
 # ------------------------------------------------------------------ main ---
@@ -662,14 +664,15 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "run":
                 cfg = load_config(args.config)
                 path = cfg["output_path"] or "result.csv"
-                _require_directory(Path(path).parent)
+                _require_output(Path(path))
                 result = run_config(cfg, n_workers=args.workers)
-                _write(result, path, cfg["output_format"])
+                json_out = cfg["output_format"] == "json"
+                (write_json if json_out else write_csv)(result, path)
             else:
-                _require_directory(Path(args.out))
+                path = str(Path(args.out) / f"{args.name}.csv")
+                _require_output(Path(path))
                 result = run_figure(args.name, points=args.points,
                                     n_workers=args.workers)
-                path = str(Path(args.out) / f"{args.name}.csv")
                 write_csv(result, path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -36,7 +36,7 @@ from .operators import (
 DEGENERACY_CONDITION_LIMIT = 1e10
 
 # Where the steady state is unique by structure (see _TraceRowSystem), the
-# probe's condition estimate is taken to be at most this multiple of the
+# condition estimate is taken to be at most this multiple of the
 # scale |m|_1 / (the smallest positive decay rate, min(kappa, gamma)).  On
 # 280 seeded systems (N = 1-3, kappa 1e-6 to 100, g0 1e-3 to 20, Omega <=
 # g0, Delta and delta_c 0 or up to +-100, n_max 1 to 39, dim <= 216) and a
@@ -44,22 +44,6 @@ DEGENERACY_CONDITION_LIMIT = 1e10
 # reached 1.45 times the scale, and the exact 1-norm condition number, of
 # which it is a lower bound, 22.6 times it (one atom, n_max 24).
 CONDITION_SCALE_BOUND = 100.0
-
-# steady_state solves by sparse LU below this Hilbert-space dimension and by
-# preconditioned GMRES from it on, where LU fill dominates, when there are two
-# or more atoms.  One atom stays on LU at every size: its fill grows slowly,
-# and GMRES can stall there under strong drive.  Two atoms at (0, 0.37),
-# GMRES / LU in ms, best of 3 (2-vCPU Xeon VM, one BLAS thread):
-#
-#   dim                     16        24         32         48        64
-#   fig6 parameters      3.0/2.4   4.0/5.4    5.1/11.3  16.3/39.2  22.5/91
-#   g0=1 Om=1 kappa=0.5 11.5/3.2  19.8/6.9   17.2/9.2   27.6/39.7  46.5/101
-#   g0=1 Om=3 kappa=0.1 13.3/2.3  27.3/6.8   38.0/12.5  64.9/46.6   142/104
-#
-# The last row loses at 48, but that drive (beta = Om/g0 = 3) starts at
-# n_max = 37, not the 11 of dim 48: a dim-48 state there is far from
-# converged and escalates past the crossover anyway.
-KRYLOV_MIN_DIM = 48
 
 G2_DEFINED_THRESHOLD = 1e-12
 
@@ -111,21 +95,21 @@ def steady_state(l: Superoperator) -> DensityMatrix:
     """Unique unit-trace null element of the Liouvillian.
 
     The first equation of L rho = 0 is replaced by the trace row, which
-    gives a matrix m with m vec(rho) = e_0.  With one atom, or below
-    KRYLOV_MIN_DIM, m is solved by sparse LU.  Otherwise it is solved by
-    GMRES preconditioned with the inverse of rho -> -i(h_eff rho - rho
-    h_eff^dag), to relative residual 1e-8, and refined once: GMRES solves
-    m d = e_0 - m x to 1e-8 of its right-hand side and x += d.  (Adding
-    1 tr(rho) to every diagonal equation instead of the trace row would put
-    rounding noise on all of them, which near-dark states cannot afford.)
+    gives a matrix m with m vec(rho) = e_0.  With one atom, m is solved by
+    sparse LU; with more, by GMRES preconditioned with the inverse of
+    rho -> -i(h_eff rho - rho h_eff^dag), to relative residual 1e-8, and
+    refined once: GMRES solves m d = e_0 - m x to 1e-8 of its right-hand
+    side and x += d.  (Adding 1 tr(rho) to every diagonal equation instead
+    of the trace row would put rounding noise on all of them, which
+    near-dark states cannot afford.)
 
     The state is certified before it is solved for: a degenerate null space
     makes m singular.  Where kappa > 0 (and gamma > 0) the state is unique
     on every truncation (see _TraceRowSystem), and m is certified without a
     solve when CONDITION_SCALE_BOUND |m|_1 / min(kappa, gamma) is within
-    DEGENERACY_CONDITION_LIMIT.  Otherwise a probe certifies it: a
-    DegenerateSteadyStateError is raised when GMRES cannot solve m against
-    a fixed random vector r to 1e-6 in three restart cycles, or when the
+    DEGENERACY_CONDITION_LIMIT.  Otherwise m is solved against a fixed
+    random vector r, by LU or by GMRES to 1e-8 as above, and a
+    DegenerateSteadyStateError is raised when that solve fails, or when the
     1-norm condition estimate |m| |m^-1 r| / |r| exceeds
     DEGENERACY_CONDITION_LIMIT.  A failed LU factorization is a
     DegenerateSteadyStateError before either.  A state whose residual
@@ -142,9 +126,11 @@ def steady_state(l: Superoperator) -> DensityMatrix:
 class _TraceRowSystem:
     """m vec(rho) = e_0 for one Liouvillian, set up once (see steady_state).
 
-    Construction factors m by sparse LU, or eigendecomposes h_eff for the
-    GMRES preconditioner; the degeneracy probe (estimate) and the solve
-    both reuse that work, in either order.  The solve comes in two steps,
+    Construction factors m by sparse LU with one atom, whose fill grows
+    slowly and where GMRES stalls under strong drive (g0 = 1, Omega = 3,
+    kappa = 0.1 at dim 160), or eigendecomposes h_eff for the GMRES
+    preconditioner with more.  The condition estimate and the solve both
+    use that path's solve, in either order.  The solve comes in two steps,
     so that a caller can read the state after the first and skip the
     second: first_pass solves m x = e_0 by LU, or by GMRES to relative
     residual 1e-8; finish refines that x once by GMRES (after LU, x is
@@ -172,31 +158,19 @@ class _TraceRowSystem:
     def __init__(self, l: Superoperator):
         self.l = l
         self.m = m = _trace_row_matrix(l.matrix, l.space.dim)
-        self._e0 = e0 = np.zeros(m.shape[0], dtype=complex)
-        e0[0] = 1.0
-        if l.space.n_atoms < 2 or l.space.dim < KRYLOV_MIN_DIM:
+        self._e0 = e0 = np.eye(1, m.shape[0], dtype=complex)[0]
+        if l.space.n_atoms < 2:
             try:
-                lu = spla.splu(m.tocsc())
+                self._solve = spla.splu(m.tocsc()).solve
             except RuntimeError:
                 raise DegenerateSteadyStateError(math.inf) from None
-            self._probe = self._solve = lu.solve
             self._refine = lambda x: x
-            return
-        precondition = _no_jump_inverse(l.h_eff)
-
-        def probe(r):
-            try:
-                return _gmres(m, r, precondition, 1e-6, max_cycles=3)
-            except SteadyStateError as exc:
-                raise DegenerateSteadyStateError(math.inf, str(exc)) from None
-
-        def solve(rhs):
-            return _gmres(m, rhs, precondition, 1e-8)
-
-        def refine(x):
-            return x + _gmres(m, e0 - m @ x, precondition, 1e-8)
-
-        self._probe, self._solve, self._refine = probe, solve, refine
+        else:
+            precondition = _no_jump_inverse(l.h_eff)
+            # closures over locals, not self: a cycle through self would
+            # hold m and the preconditioner until the cyclic collector runs
+            self._solve = solve = lambda rhs: _gmres(m, rhs, precondition)
+            self._refine = lambda x: x + solve(e0 - m @ x)
 
     def scale(self) -> float:
         """|m|_1 over the smallest positive diagonal entry of -2 Im h_eff, or
@@ -211,8 +185,8 @@ class _TraceRowSystem:
 
         By "structure": CONDITION_SCALE_BOUND times the scale, when it is
         within DEGENERACY_CONDITION_LIMIT; nothing is solved.  Else by
-        "estimate": the probe's 1-norm condition estimate, which must be
-        within the limit too.
+        "estimate": the 1-norm condition estimate, which must be within the
+        limit too.
         """
         bound = CONDITION_SCALE_BOUND * self.scale()
         if bound <= DEGENERACY_CONDITION_LIMIT:
@@ -220,11 +194,16 @@ class _TraceRowSystem:
         return self.estimate(), "estimate"
 
     def estimate(self) -> float:
-        """The 1-norm condition estimate of m, or DegenerateSteadyStateError
-        when it exceeds DEGENERACY_CONDITION_LIMIT."""
+        """The 1-norm condition estimate of m from the path's solve against
+        a fixed random vector, or DegenerateSteadyStateError when that solve
+        fails or the estimate exceeds DEGENERACY_CONDITION_LIMIT."""
         side = self.m.shape[0]
         r = np.random.default_rng(0).standard_normal(side).astype(complex)
-        condition = float(spla.norm(self.m, 1) * np.abs(self._probe(r)).sum()
+        try:
+            x = self._solve(r)
+        except SteadyStateError as exc:
+            raise DegenerateSteadyStateError(math.inf, str(exc)) from None
+        condition = float(spla.norm(self.m, 1) * np.abs(x).sum()
                           / np.abs(r).sum())
         if not condition <= DEGENERACY_CONDITION_LIMIT:
             raise DegenerateSteadyStateError(condition)
@@ -290,21 +269,21 @@ def _no_jump_inverse(h_eff: np.ndarray) -> spla.LinearOperator:
     return spla.LinearOperator((dim * dim, dim * dim), apply, dtype=complex)
 
 
-def _gmres(m, rhs, precondition, rtol: float, max_cycles: int = 10):
-    """Restarted GMRES solution of m x = rhs to relative residual rtol.
+def _gmres(m, rhs, precondition):
+    """Restarted GMRES solution of m x = rhs to relative residual 1e-8.
 
     Raises SteadyStateError with the iteration count and residual if it
-    does not get there in max_cycles restart cycles.
+    does not get there in ten restart cycles of 100 iterations.
     """
     residuals = []
-    x, info = spla.gmres(m, rhs, rtol=rtol, restart=100, maxiter=max_cycles,
+    x, info = spla.gmres(m, rhs, rtol=1e-8, restart=100, maxiter=10,
                          M=precondition, callback=residuals.append,
                          callback_type="pr_norm")
     if info != 0:
         relres = np.linalg.norm(rhs - m @ x) / np.linalg.norm(rhs)
         raise SteadyStateError(
             f"GMRES stopped after {len(residuals)} iterations at relative "
-            f"residual {relres:.3e}, target {rtol:g}")
+            f"residual {relres:.3e}, target 1e-08")
     return x
 
 
@@ -324,7 +303,6 @@ def evolve(rho0: DensityMatrix, l: Superoperator,
         method="DOP853",
         rtol=1e-10,
         atol=1e-12,
-        dense_output=False,
     )
     if not sol.success:
         raise RuntimeError(f"time integration failed: {sol.message}")

@@ -589,6 +589,28 @@ def test_run_missing_output_directory_fails_before_solving(
     assert calls == []
 
 
+def test_run_output_path_that_is_a_directory_fails_before_solving(
+        tmp_path, monkeypatch, capsys):
+    calls = _count_solves(monkeypatch)
+    cfg_path = _write_cfg(tmp_path, {
+        "mode": "steady", "params": BASE_PARAMS,
+        "output": {"path": str(tmp_path), "format": "csv"}})
+    assert main(["validate", cfg_path]) == EXIT_OK
+    assert main(["run", cfg_path]) == EXIT_CONFIG
+    assert "is a directory" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_figure_output_file_that_is_a_directory_fails_before_solving(
+        tmp_path, monkeypatch, capsys):
+    calls = _count_solves(monkeypatch)
+    (tmp_path / "fig2a.csv").mkdir()
+    assert main(["figure", "fig2a", "--out", str(tmp_path),
+                 "--points", "4"]) == EXIT_CONFIG
+    assert "fig2a.csv' is a directory" in capsys.readouterr().err
+    assert calls == []
+
+
 @pytest.fixture
 def two_cores(monkeypatch):
     """Sweeps at two workers take the process path, whatever the machine."""
@@ -670,6 +692,22 @@ def test_strict_mode_stops_on_a_worker_regime_warning(tmp_path, two_cores):
         "mode": "spectrum", "params": dict(BASE_PARAMS, g0=1.0, kappa=0.0),
         "probe": {"omega_p": 0.5},
         "sweep": {"param": "delta_p", "start": -1.0, "stop": 1.0,
+                  "points": 4},
+        "output": {"path": str(tmp_path / "o.csv"), "format": "csv"}})
+    assert main(["run", cfg_path, "--workers", "2"]) == EXIT_OK
+    assert main(["run", cfg_path, "--workers", "2", "--strict"]) \
+        == EXIT_REGIME
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_strict_mode_stops_on_a_worker_stark_regime_warning(tmp_path,
+                                                           two_cores):
+    # delta_2 = 5 is not far detuned against g0 = 1: the dispersive Stark
+    # shift warns in each worker, after the steady solve
+    cfg_path = _write_cfg(tmp_path, {
+        "mode": "stark", "params": dict(BASE_PARAMS, g0=1.0, kappa=1.0),
+        "n_max": 4, "stark": {"delta_2": 5.0},
+        "sweep": {"param": "x_probe", "start": 0.0, "stop": 0.3,
                   "points": 4},
         "output": {"path": str(tmp_path / "o.csv"), "format": "csv"}})
     assert main(["run", cfg_path, "--workers", "2"]) == EXIT_OK

@@ -191,6 +191,14 @@ def test_restoring_coefficient_properties():
     assert two == pytest.approx(2 * c1, rel=1e-12)
 
 
+def test_restoring_coefficient_warns_off_a_small_cavity_detuning():
+    # the field linewidth is 2 Re R + kappa, about 0.3 here
+    pat = PatternSpec(4)
+    p = _params(n=4, g0=1.0, omega=1.0, kappa=0.1, delta=2.0, delta_c=-1.0)
+    with pytest.warns(RegimeWarning, match="delta_c"):
+        restoring_coefficient(pat, p)
+
+
 def test_emission_rates_consistent():
     p = _params(kappa=1e-3, g0=1e-3, omega=1e-3)
     pat = PatternSpec(100)

@@ -1,5 +1,7 @@
 import contextlib
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import scipy.sparse.linalg as spla
 from drivencavity import dynamics
 from drivencavity.dynamics import (
     DegenerateSteadyStateError,
+    SteadyStateError,
     TruncationEscalationError,
     evolve,
     ground_state,
@@ -80,7 +83,7 @@ def test_emission_ratio_tracks_cooperativity():
     (1, 1.0, 1e-8, 0.0, 6),
     (1, 1.0, 0.0, 1e-12, 6),
     (1, 1.0, 1e-6, 0.0, 6),
-    # above the LU crossover: GMRES cannot solve the trace-row matrix
+    # two or more atoms: GMRES cannot solve the trace-row matrix
     (3, 0.0, 0.0, 0.0, 11),
     (2, 0.0, 0.0, 0.0, 11),
     (2, 1.0, 1e-8, 0.0, 11),
@@ -183,7 +186,12 @@ _FIG7 = dict(g0=10.0, omega=1.0, kappa=0.01)
     ((0.0, 100 / 201), _FIG7, 39),
     # a fig8 point at dim 48, <n> ~ 2e-8: the largest GMRES-LU gap seen
     ((0.0, 0.5), _FIG6, None),
-], ids=["3atoms-near-dark", "fig7-n_max39", "fig8-dim48"])
+    # small spaces take GMRES too: three atoms at n_max 4 (dim 40), and two
+    # undriven ones at the default n_max 10 (dim 44)
+    ((0.0, 0.37, 0.61), _FIG6, 4),
+    ((0.0, 0.37), dict(_FIG6, omega=0.0), None),
+], ids=["3atoms-near-dark", "fig7-n_max39", "fig8-dim48", "3atoms-dim40",
+        "undriven-2atoms-dim44"])
 def test_krylov_steady_state_matches_lu(positions, system, n_max, monkeypatch):
     p = _params(positions=positions, **system)
     l = build_liouvillian(p, build_space(p, n_max))
@@ -196,10 +204,9 @@ def test_krylov_steady_state_matches_lu(positions, system, n_max, monkeypatch):
     monkeypatch.setattr(dynamics, "_gmres", counted)
     krylov = observables(steady_state(l), p)
     assert gmres_calls
-    monkeypatch.setattr(dynamics, "KRYLOV_MIN_DIM", math.inf)
-    gmres_calls.clear()
-    lu = observables(steady_state(l), p)
-    assert not gmres_calls
+    system = dynamics._TraceRowSystem(l)
+    x = spla.splu(system.m.tocsc()).solve(system._e0)
+    lu = observables(system.state(x), p)
     for name in ("i_at_total", "i_cav", "mean_n", "g2_zero"):
         assert getattr(krylov, name) == pytest.approx(getattr(lu, name),
                                                       rel=1e-6), name
@@ -223,12 +230,55 @@ def test_probe_runs_only_where_structure_and_scale_cannot_certify(
     assert sol.condition <= dynamics.DEGENERACY_CONDITION_LIMIT
 
 
+def test_slow_system_is_certified_by_its_own_paths_solve():
+    # kappa ~ 1e-8 |m|_1 is too small for the structure bound, so the
+    # estimate runs, on GMRES with the solve's own settings; GMRES at 1e-6
+    # in three restart cycles stops short on this system
+    p = SystemParams(
+        positions=(0.8277025938204418, 0.4091991363691613,
+                   0.5495936876730595),
+        g0=3.8e-3, omega=3.0e-3, kappa=2.05e-6, delta=-57.0, delta_c=-90.0)
+    sol = solve_steady(p, n_max=16)
+    assert sol.certified == "estimate"
+    assert sol.condition <= dynamics.DEGENERACY_CONDITION_LIMIT
+
+
+def test_residual_contract_refuses_a_perturbed_state():
+    # one atom, so finish does not refine the perturbation away
+    p = _params(kappa=0.5)
+    system = dynamics._TraceRowSystem(
+        build_liouvillian(p, build_space(p, n_max=6)))
+    x = system.first_pass()
+    system.finish(x)
+    x = x + 1e-6 * np.random.default_rng(3).standard_normal(x.shape)
+    with pytest.raises(SteadyStateError, match="residual"):
+        system.finish(x)
+
+
+@pytest.mark.parametrize("positions", [(0.0,), (0.0, 0.37)],
+                         ids=["lu", "gmres"])
+def test_trace_row_system_is_freed_by_reference_counting(positions):
+    # a sweep sets up thousands of these; held by a reference cycle, each
+    # keeps its factors or preconditioner until the cyclic collector runs
+    p = _params(positions=positions, **_FIG6)
+    system = dynamics._TraceRowSystem(
+        build_liouvillian(p, build_space(p, n_max=3)))
+    system.finish(system.first_pass())
+    freed = weakref.ref(system)
+    gc.disable()
+    try:
+        del system
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
 def test_one_atom_stays_on_lu_above_crossover(monkeypatch):
     # a strongly driven atom in a large Fock space: LU solves it, GMRES
     # with this preconditioner stalls
     p = _params(omega=3.0, g0=1.0, kappa=0.1)
     l = build_liouvillian(p, build_space(p, n_max=79))
-    assert l.space.dim >= dynamics.KRYLOV_MIN_DIM
+    assert l.space.n_atoms == 1
     monkeypatch.setattr(dynamics, "_gmres", None)
     rho = steady_state(l)
     assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-12)
@@ -239,7 +289,7 @@ def test_undriven_many_atom_steady_state_is_ground():
     # inverse there, and GMRES must still find it
     p = _params(positions=(0.0, 0.1, 0.2), omega=0.0, kappa=0.5)
     space = build_space(p, n_max=10)
-    assert space.dim >= dynamics.KRYLOV_MIN_DIM
+    assert space.n_atoms >= 2
     rho = steady_state(build_liouvillian(p, space))
     ket = basis_state(space, "ggg", 0)
     assert fidelity_with_pure(rho, ket) == pytest.approx(1.0, abs=1e-12)
