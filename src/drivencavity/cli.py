@@ -5,7 +5,9 @@ column order is fixed, and sweep rows are assembled in grid order no matter
 how many workers computed them.  Workers are forked processes, no more than
 --workers (else a config's n_workers), the distinct systems or the cores
 this process may run on (its CPU affinity: `taskset -c 0-3 simulate ...`
-caps a run at four), each on one BLAS thread; where the fork start method is
+caps a run at four), each on one BLAS thread.  Each worker claims the next
+point itself and sends its result back; a worker that dies fails the point
+it was solving, and the sweep goes on.  Where the fork start method is
 unavailable a sweep runs serially.
 """
 
@@ -17,6 +19,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import sys
 import warnings
@@ -396,27 +399,34 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-_worker_task = None  # (fn, items) in a worker process
-
-
-def _init_worker(fn, items) -> None:
-    global _worker_task
-    _worker_task = fn, items
-
-
-def _run_item(index: int):
-    fn, items = _worker_task
-    return fn(items[index])
+def _claim_and_run(fn, items, counter, send) -> None:
+    """A worker's loop: claim the next index under the counter's lock, send
+    (index, fn's result, None), or (index, None, exception) and stop."""
+    while True:
+        with counter.get_lock():
+            index = counter.value
+            counter.value = index + 1
+        if index >= len(items):
+            return
+        try:
+            result = fn(items[index])
+        except Exception as exc:
+            send.send((index, None, exc))
+            return
+        send.send((index, result, None))
 
 
 def _map_ordered(fn, items, n_workers: int) -> list:
     """[fn(item) for item in items], on up to n_workers forked processes.
 
-    The processes inherit fn and items, so neither is pickled and fn may be
-    a closure; only an index goes to a worker and only fn's result comes
-    back.  No more processes start than items or usable cores.  The pool
-    forks its workers before it starts its own threads, and OpenBLAS shuts
-    its threads down before a fork.
+    Each process inherits fn and items, so neither is pickled and fn may be
+    a closure.  It claims the next index from a shared counter and sends
+    back that index with fn's result, so only results cross a pipe and a
+    fast process takes more points.  Results are placed by index; if fn
+    raised, the exception of the lowest index is raised after every process
+    has ended.  A point whose process died before reporting it comes back
+    as None.  No more processes start than items or usable cores, and
+    OpenBLAS shuts its threads down before a fork.
     """
     n_procs = min(n_workers, len(items), _usable_cores())
     with _one_blas_thread():
@@ -424,19 +434,42 @@ def _map_ordered(fn, items, n_workers: int) -> list:
                 or "fork" not in multiprocessing.get_all_start_methods()):
             return [fn(item) for item in items]
         context = multiprocessing.get_context("fork")
-        with context.Pool(n_procs, _init_worker, (fn, items)) as pool:
-            # about 16 tasks a process: few enough that a cheap point does
-            # not wait on a round trip, many enough that the last task of a
-            # sweep keeps the other processes idle only briefly
-            chunk = max(1, len(items) // (16 * n_procs))
-            try:
-                return list(pool.imap(_run_item, range(len(items)), chunk))
-            except Exception:
-                # Pool.terminate() while workers run can hang: let the
-                # queued tasks finish before the exception leaves
-                pool.close()
-                pool.join()
-                raise
+        counter = context.Value("q", 0)
+        results, errors, workers, pipes = [None] * len(items), {}, [], []
+        try:
+            for _ in range(n_procs):
+                receive, send = context.Pipe(duplex=False)
+                pipes.append(receive)
+                worker = context.Process(target=_claim_and_run, daemon=True,
+                                         args=(fn, items, counter, send))
+                worker.start()
+                workers.append(worker)
+                # the worker holds the one write end left, so its pipe
+                # reads EOF once it has ended, however it ended
+                send.close()
+            reading = list(pipes)
+            while reading:
+                for receive in multiprocessing.connection.wait(reading):
+                    try:
+                        index, result, exc = receive.recv()
+                    except EOFError:
+                        reading.remove(receive)
+                        continue
+                    results[index] = result
+                    if exc is not None:
+                        errors[index] = exc
+            for worker in workers:
+                worker.join()
+        finally:
+            for worker in workers:
+                if worker.is_alive():
+                    worker.terminate()
+                worker.join()
+            for receive in pipes:
+                receive.close()
+        if errors:
+            raise errors[min(errors)]
+        return results
 
 
 @dataclass
@@ -497,9 +530,10 @@ def _sweep(grid: list, sources: list, n_workers: int | None,
 
     Each source names an axis, an echo column, "ok", or a quantity of the
     mode, which may come as (quantity, overrides) to re-solve the point
-    with those parameter values.  A point that raises keeps its axis and
-    echo values, gets nan quantities and ok=0.  A point whose `diagonal`
-    axes are all equal gets nan quantities without a solve and counts as ok.
+    with those parameter values.  A point that raises, or whose worker
+    dies, keeps its axis and echo values, gets nan quantities and ok=0.  A
+    point whose `diagonal` axes are all equal gets nan quantities without a
+    solve and counts as ok.
 
     A steady system that equals an earlier one up to a map of _system_key
     is not solved again: it takes the earlier solve, with the pi_e columns

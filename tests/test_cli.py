@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -637,19 +638,30 @@ def test_cores_are_counted_by_affinity(monkeypatch):
     assert cli._usable_cores() == 64
 
 
-def _record_pools(monkeypatch) -> list:
-    """The process count each worker pool is asked for; none starts more
-    than two processes, whatever it asks for."""
-    asked = []
+def _record_workers(monkeypatch) -> list:
+    """The number of worker processes each sweep starts, for each sweep
+    that starts any."""
+    counts, started = [], []
     context = type(multiprocessing.get_context("fork"))
-    real = context.Pool
 
-    def recorded(self, processes=None, *args, **kwargs):
-        asked.append(processes)
-        return real(self, min(processes or 2, 2), *args, **kwargs)
+    class Recorded(context.Process):
+        def start(self):
+            started.append(self)
+            super().start()
 
-    monkeypatch.setattr(context, "Pool", recorded)
-    return asked
+    real = cli._map_ordered
+
+    def recorded(fn, items, n_workers):
+        started.clear()
+        try:
+            return real(fn, items, n_workers)
+        finally:
+            if started:
+                counts.append(len(started))
+
+    monkeypatch.setattr(context, "Process", Recorded)
+    monkeypatch.setattr(cli, "_map_ordered", recorded)
+    return counts
 
 
 def test_map_ordered_runs_a_local_closure_in_item_order(two_cores):
@@ -665,25 +677,25 @@ def test_map_ordered_runs_a_local_closure_in_item_order(two_cores):
 
 
 def test_process_count_is_bounded(tmp_path, monkeypatch, two_cores):
-    asked = _record_pools(monkeypatch)
+    started = _record_workers(monkeypatch)
     cfg = load_config(_write_cfg(tmp_path, {
         "mode": "spectrum", "params": dict(BASE_PARAMS, g0=1.0, kappa=0.0),
         "sweep": {"param": "delta_p", "start": -3.0, "stop": 3.0,
                   "points": 9}}))
     serial = run_config(cfg, n_workers=1)
-    assert asked == []
+    assert started == []
     # never more processes than cores
     assert run_config(cfg, n_workers=64).rows == serial.rows
-    assert asked == [2]
+    assert started == [2]
     # nor than distinct systems: x2 and 1 - x2 fold, 4 systems for 7 rows
     _cores(monkeypatch, 64)
-    asked.clear()
+    started.clear()
     cfg = load_config(_write_cfg(tmp_path, {
         "mode": "steady", "n_max": 5, "sweep": _SWEEP_X2,
         "params": {"positions": [0.0, 0.0], "g0": 10.0, "omega": 1.0,
                    "kappa": 0.2, "delta": 100.0}}))
     run_config(cfg, n_workers=64)
-    assert asked == [4]
+    assert started == [4]
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -738,6 +750,73 @@ def test_worker_failure_gives_the_serial_rows(tmp_path, monkeypatch,
         tables.append(path.read_bytes())
     assert tables[0] == tables[1]
     assert b"nan" in tables[0]
+
+
+def _killed_in_a_worker(parent: int) -> None:
+    """SIGKILL the calling process, unless it is the test's own."""
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_a_killed_worker_fails_its_point(two_cores):
+    parent = os.getpid()
+
+    def squared(item):
+        if item == 5:
+            _killed_in_a_worker(parent)
+        return item * item
+
+    items = list(range(12))
+    results = cli._map_ordered(squared, items, 2)
+    assert results == [None if i == 5 else i * i for i in items]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_killed_worker_fails_its_row(tmp_path, monkeypatch, two_cores):
+    parent, real = os.getpid(), cli.solve_steady
+
+    def killed_at_one_half(params, n_max=None):
+        if params.positions[1] == 0.5:
+            _killed_in_a_worker(parent)
+        return real(params, n_max=n_max)
+
+    monkeypatch.setattr(cli, "solve_steady", killed_at_one_half)
+    cfg = load_config(_write_cfg(tmp_path, {
+        "mode": "steady", "n_max": 5, "sweep": _SWEEP_X2,
+        "params": {"positions": [0.0, 0.0], "g0": 10.0, "omega": 1.0,
+                   "kappa": 0.2, "delta": 100.0}}))
+    serial = run_config(cfg, n_workers=1)
+    forked = run_config(cfg, n_workers=2)
+    ok = forked.columns.index("ok")
+    assert serial.n_failed == 0 and forked.n_failed == 1
+    assert [row[0] for row in forked.rows if row[ok] == 0] == [0.5]
+    assert ([row for row in forked.rows if row[0] != 0.5]
+            == [row for row in serial.rows if row[0] != 0.5])
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_no_worker_outlives_a_sweep(tmp_path, two_cores):
+    cfg_path = _write_cfg(tmp_path, {
+        "mode": "spectrum", "params": dict(BASE_PARAMS, g0=1.0, kappa=0.0),
+        "probe": {"omega_p": 0.5},
+        "sweep": {"param": "delta_p", "start": -1.0, "stop": 1.0,
+                  "points": 4},
+        "output": {"path": str(tmp_path / "o.csv"), "format": "csv"}})
+    assert main(["run", cfg_path, "--workers", "2"]) == EXIT_OK
+    assert multiprocessing.active_children() == []
+    assert main(["run", cfg_path, "--workers", "2", "--strict"]) \
+        == EXIT_REGIME
+    assert multiprocessing.active_children() == []
+
+    def fails_at_three_and_six(item):
+        if item in (3, 6):
+            raise ValueError(item)
+        return item
+
+    # both items raise, in whichever worker; the lower index is raised
+    with pytest.raises(ValueError, match="^3$"):
+        cli._map_ordered(fails_at_three_and_six, list(range(8)), 2)
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_restores_the_blas_thread_count(two_cores):
