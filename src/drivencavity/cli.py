@@ -2,19 +2,20 @@
 
 Outputs are deterministic: floats are written with 17 significant digits,
 column order is fixed, and sweep rows are assembled in grid order no matter
-how many workers computed them.  Workers are forked processes, no more than
---workers (else a config's n_workers), the distinct systems or the cores
-this process may run on (its CPU affinity: `taskset -c 0-3 simulate ...`
-caps a run at four), each on one BLAS thread.  Each worker claims the next
-point itself and sends its result back; a worker that dies fails the point
-it was solving, and the sweep goes on.  Where the fork start method is
-unavailable a sweep runs serially.
+how many workers computed them.  Workers run only master-equation solves,
+each distinct system once; the closed forms run in the calling process, so
+a spectrum or collective sweep never forks.  Workers are forked processes,
+no more than --workers (else a config's n_workers), the distinct systems or
+the cores this process may run on (its CPU affinity: `taskset -c 0-3
+simulate ...` caps a run at four), each on one BLAS thread.  Each worker
+claims the next system itself and sends its result back; a solve that
+raises or whose worker dies fails its rows, and the sweep goes on.  Where
+the fork start method is unavailable a sweep runs serially.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import math
@@ -34,7 +35,8 @@ from .dynamics import (_one_blas_thread, evolve, ground_state, observables,
                        solve_steady)
 from .figures import PRESETS, Preset, preset_names
 from .model import RegimeWarning, SystemParams, build_liouvillian, build_space
-from .spectrum import ProbeParams, excitation_spectrum, probe_stark_shift
+from .spectrum import (ProbeParams, SpectrumDomainError, excitation_spectrum,
+                       probe_stark_shift, transition_amplitude)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -260,6 +262,12 @@ def _check_point(point: dict) -> None:
             and point["params"].omega_n is not None):
         raise ConfigError(f"params.omega_n is not read in mode '{mode}': its "
                           f"closed forms take the one pump amplitude omega")
+    if mode == "spectrum":
+        try:
+            transition_amplitude(point["delta_p"], point["params"],
+                                 ProbeParams(point["omega_p"]))
+        except SpectrumDomainError as exc:
+            raise ConfigError(f"mode 'spectrum': {exc}") from None
     if mode == "stark" and point["delta_2"] == 0:
         raise ConfigError("stark.delta_2 must be nonzero")
     if mode == "collective":
@@ -343,42 +351,41 @@ def _echo(point: dict) -> dict:
             "p_positions": ";".join(_fmt_float(x) for x in p.positions)}
 
 
-@functools.lru_cache(maxsize=256)
-def _steady_alpha(params: SystemParams, n_max: int | None) -> complex:
-    """<a> in the steady state; a stark sweep solves each system once in
-    each worker process."""
-    sol = solve_steady(params, n_max=n_max)
-    return observables(sol.rho, params).alpha
-
-
-def _run_point(point: dict) -> dict:
-    """The named quantities of one point config in its mode."""
-    mode = point["mode"]
-    params = point["params"]
-    if mode == "steady":
-        sol = solve_steady(params, n_max=point["n_max"])
+def _solve(system: dict) -> dict:
+    """The named quantities of a steady or evolve system."""
+    params = system["params"]
+    if system["mode"] == "steady":
+        sol = solve_steady(params, n_max=system["n_max"])
         obs = observables(sol.rho, params)
         return _obs_quantities(obs, sol.n_max, sol.residual)
-    if mode == "evolve":
-        space = build_space(params, point["n_max"])
-        l = build_liouvillian(params, space)
-        rho = evolve(ground_state(space), l, point["t_final"])
-        obs = observables(rho, params)
-        return _obs_quantities(obs, space.n_max, NAN)
+    space = build_space(params, system["n_max"])
+    l = build_liouvillian(params, space)
+    rho = evolve(ground_state(space), l, system["t_final"])
+    return _obs_quantities(observables(rho, params), space.n_max, NAN)
+
+
+def _quantities(point: dict, solved: dict | None) -> dict:
+    """The named quantities of one point config in its mode, given solved,
+    those of its system: None for a closed form, and raises if it failed."""
+    mode = point["mode"]
+    params = point["params"]
     if mode == "spectrum":
         probe = ProbeParams(omega_p_tilde=point["omega_p"])
         return {"w": excitation_spectrum(point["delta_p"], params, probe)}
+    if mode == "collective":
+        pattern = PatternSpec(point["n_atoms"], point["parity"])
+        alpha = in_phase_alpha(pattern, params)
+        i_cav, i_at = emission_rates(pattern, params)
+        return {"re_alpha": alpha.real, "im_alpha": alpha.imag,
+                "mean_n": abs(alpha) ** 2, "i_cav": i_cav, "i_at": i_at,
+                "pi_e": excited_population(pattern, params)}
+    if solved is None:
+        raise RuntimeError("the master-equation solve failed")
     if mode == "stark":
-        alpha = _steady_alpha(params, point["n_max"])
+        alpha = complex(solved["re_alpha"], solved["im_alpha"])
         return {"shift": probe_stark_shift(point["x_probe"], point["delta_2"],
                                            params, alpha)}
-    # collective
-    pattern = PatternSpec(point["n_atoms"], point["parity"])
-    alpha = in_phase_alpha(pattern, params)
-    i_cav, i_at = emission_rates(pattern, params)
-    return {"re_alpha": alpha.real, "im_alpha": alpha.imag,
-            "mean_n": abs(alpha) ** 2, "i_cav": i_cav, "i_at": i_at,
-            "pi_e": excited_population(pattern, params)}
+    return solved
 
 
 _MODE_COLUMNS = {
@@ -399,43 +406,45 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+def _none_if_raised(fn, item):
+    """fn(item), or None if it raises (a failed item)."""
+    try:
+        return fn(item)
+    except Exception:
+        return None
+
+
 def _claim_and_run(fn, items, counter, send) -> None:
-    """A worker's loop: claim the next index under the counter's lock, send
-    (index, fn's result, None), or (index, None, exception) and stop."""
+    """A worker's loop: claim the next index under the counter's lock and
+    send (index, fn's result or None)."""
     while True:
         with counter.get_lock():
             index = counter.value
             counter.value = index + 1
         if index >= len(items):
             return
-        try:
-            result = fn(items[index])
-        except Exception as exc:
-            send.send((index, None, exc))
-            return
-        send.send((index, result, None))
+        send.send((index, _none_if_raised(fn, items[index])))
 
 
 def _map_ordered(fn, items, n_workers: int) -> list:
-    """[fn(item) for item in items], on up to n_workers forked processes.
+    """fn's result for each item, on up to n_workers forked processes; None
+    for an item where fn raised or whose process died before reporting it.
 
     Each process inherits fn and items, so neither is pickled and fn may be
     a closure.  It claims the next index from a shared counter and sends
     back that index with fn's result, so only results cross a pipe and a
-    fast process takes more points.  Results are placed by index; if fn
-    raised, the exception of the lowest index is raised after every process
-    has ended.  A point whose process died before reporting it comes back
-    as None.  No more processes start than items or usable cores, and
-    OpenBLAS shuts its threads down before a fork.
+    fast process takes more items.  Results are placed by index.  No more
+    processes start than items or usable cores, and OpenBLAS shuts its
+    threads down before a fork.
     """
     n_procs = min(n_workers, len(items), _usable_cores())
     with _one_blas_thread():
         if (n_procs <= 1
                 or "fork" not in multiprocessing.get_all_start_methods()):
-            return [fn(item) for item in items]
+            return [_none_if_raised(fn, item) for item in items]
         context = multiprocessing.get_context("fork")
         counter = context.Value("q", 0)
-        results, errors, workers, pipes = [None] * len(items), {}, [], []
+        results, workers, pipes = [None] * len(items), [], []
         try:
             for _ in range(n_procs):
                 receive, send = context.Pipe(duplex=False)
@@ -451,13 +460,11 @@ def _map_ordered(fn, items, n_workers: int) -> list:
             while reading:
                 for receive in multiprocessing.connection.wait(reading):
                     try:
-                        index, result, exc = receive.recv()
+                        index, result = receive.recv()
                     except EOFError:
                         reading.remove(receive)
                         continue
                     results[index] = result
-                    if exc is not None:
-                        errors[index] = exc
             for worker in workers:
                 worker.join()
         finally:
@@ -467,8 +474,6 @@ def _map_ordered(fn, items, n_workers: int) -> list:
                 worker.join()
             for receive in pipes:
                 receive.close()
-        if errors:
-            raise errors[min(errors)]
         return results
 
 
@@ -514,65 +519,64 @@ def _system_key(point: dict) -> tuple[tuple, tuple[int, ...]] | None:
     return (rest, point["n_max"], tuple(cells[n] for n in atoms)), tuple(atoms)
 
 
-def _solve_or_none(point: dict) -> dict | None:
-    """_run_point's quantities, or None if it raises (a failed point)."""
-    try:
-        return _run_point(point)
-    except RegimeWarning:
-        raise
-    except Exception:
-        return None
-
-
 def _sweep(grid: list, sources: list, n_workers: int | None,
            diagonal: tuple = ()) -> tuple[list[tuple], int]:
     """The one sweep runner: (rows in grid order, number of failed rows).
 
     Each source names an axis, an echo column, "ok", or a quantity of the
-    mode, which may come as (quantity, overrides) to re-solve the point
-    with those parameter values.  A point that raises, or whose worker
-    dies, keeps its axis and echo values, gets nan quantities and ok=0.  A
-    point whose `diagonal` axes are all equal gets nan quantities without a
-    solve and counts as ok.
+    mode, which may come as (quantity, overrides) to take the point with
+    those parameter values.  A point that raises, or whose solve fails,
+    keeps its axis and echo values, gets nan quantities and ok=0; a
+    RegimeWarning raised as an error propagates.  A point whose `diagonal`
+    axes are all equal gets nan quantities without a solve and counts as ok.
 
+    Only master-equation systems are solved, in grid order and by
+    _map_ordered: a steady or evolve point, or a stark point's steady state.
     A steady system that equals an earlier one up to a map of _system_key
-    is not solved again: it takes the earlier solve, with the pi_e columns
-    following the atoms, and fails when that solve fails.  The distinct
-    systems are solved in grid order.
+    takes the earlier solve, with the pi_e columns following the atoms, and
+    fails when that solve fails.  The rows are then built in this process,
+    spectrum and collective ones from their closed forms.
     """
     named = [(src, ()) if isinstance(src, str)
              else (src[0], tuple(src[1].items())) for src in sources]
     systems, first = [], {}
-    plans = []  # per row: known values; per override, system index, renames
+    plans = []  # per row: known values; per override, point, system, renames
     for assignments, point in grid:
         known = dict(assignments, **_echo(point), ok=1)
         on_diagonal = len({assignments[a] for a in diagonal}) == 1
         plan = {}
         for over in () if on_diagonal else dict.fromkeys(
                 over for name, over in named if name not in known):
-            system = _apply(point, dict(over))
-            key = _system_key(system)
+            at = _apply(point, dict(over))
+            system = (dict(at, mode="steady") if at["mode"] == "stark"
+                      else at if at["mode"] in ("steady", "evolve") else None)
+            key = None if system is None else _system_key(system)
+            index, renames = None, {}
             if key is not None and key[0] in first:
                 index, first_atoms = first[key[0]]
                 renames = {f"pi_e_{m + 1}": f"pi_e_{n + 1}"
                            for n, m in zip(key[1], first_atoms) if n != m}
-            else:
-                index, renames = len(systems), {}
+            elif system is not None:
+                index = len(systems)
                 systems.append(system)
                 if key is not None:
                     first[key[0]] = (index, key[1])
-            plan[over] = (index, renames)
+            plan[over] = (at, index, renames)
         plans.append((known, plan))
 
-    solved = _map_ordered(_solve_or_none, systems, n_workers or 1)
+    solved = _map_ordered(_solve, systems, n_workers or 1)
     rows, failed = [], 0
     for known, plan in plans:
-        if any(solved[index] is None for index, _ in plan.values()):
-            plan, known["ok"] = {}, 0
+        try:
+            values = {over: {renames.get(name, name): v for name, v in
+                             _quantities(at, None if index is None
+                                         else solved[index]).items()}
+                      for over, (at, index, renames) in plan.items()}
+        except RegimeWarning:
+            raise
+        except Exception:  # a failed solve, or a closed form that raised
+            values, known["ok"] = {}, 0
             failed += 1
-        values = {over: {renames.get(name, name): v
-                         for name, v in solved[index].items()}
-                  for over, (index, renames) in plan.items()}
         rows.append(tuple(known[name] if name in known
                           else values.get(over, {}).get(name, NAN)
                           for name, over in named))

@@ -139,6 +139,13 @@ def test_sweep_validation(tmp_path, sweep):
      "sweep": {"param": "kappa", "start": 0.01, "stop": 0.1, "points": 3}},
     {"mode": "spectrum", "params": dict(BASE_PARAMS, kappa=0.0),
      "sweep": {"param": "delta_c", "start": 0.5, "stop": 1.5, "points": 3}},
+    # and for one atom off a node of the mode function, base values too
+    {"mode": "spectrum", "params": dict(BASE_PARAMS, kappa=0.1)},
+    {"mode": "spectrum", "params": dict(BASE_PARAMS, kappa=0.0, delta_c=0.5)},
+    {"mode": "spectrum",
+     "params": dict(BASE_PARAMS, kappa=0.0, positions=[0.0, 0.5])},
+    {"mode": "spectrum", "params": dict(BASE_PARAMS, kappa=0.0,
+                                        positions=[0.25])},
     # a sweep that cannot change a row: a pattern places collective atoms,
     # and omega_n, not omega, drives the atoms of a steady or evolve run
     {"mode": "collective", "params": dict(BASE_PARAMS, positions=[0.0, 0.5]),
@@ -341,23 +348,44 @@ def test_preset_tables_pinned():
                                    equal_nan=True, err_msg=name)
 
 
+def _record_systems(monkeypatch) -> list:
+    """The number of items each sweep hands to cli._map_ordered.  A counter
+    inside a forked worker would not reach this process; this one counts
+    in the caller."""
+    counts = []
+    real = cli._map_ordered
+
+    def recorded(fn, items, n_workers):
+        counts.append(len(items))
+        return real(fn, items, n_workers)
+
+    monkeypatch.setattr(cli, "_map_ordered", recorded)
+    return counts
+
+
 def test_stark_sweep_solves_steady_state_once(tmp_path, monkeypatch):
-    calls = []
-    real = dynamics._TraceRowSystem
-
-    def counted(l):
-        calls.append(l)
-        return real(l)
-
-    monkeypatch.setattr(dynamics, "_TraceRowSystem", counted)
-    cli._steady_alpha.cache_clear()
+    handed = _record_systems(monkeypatch)
     cfg = load_config(_write_cfg(tmp_path, {
         "mode": "stark", "params": dict(BASE_PARAMS, g0=1.0, kappa=1.0),
         "sweep": {"param": "x_probe", "start": 0.0, "stop": 0.9,
                   "points": 10}}))
-    result = run_config(cfg)
-    assert result.n_failed == 0 and len(result.rows) == 10
-    assert len(calls) == 1
+    tables = []
+    for n_workers in (1, 2):
+        result = run_config(cfg, n_workers=n_workers)
+        assert result.n_failed == 0 and len(result.rows) == 10
+        tables.append(result.rows)
+    assert handed == [1, 1]
+    assert tables[0] == tables[1]
+
+
+def test_fig5_hands_its_three_steady_states_to_the_workers(monkeypatch,
+                                                          two_cores):
+    handed = _record_systems(monkeypatch)
+    started = _record_workers(monkeypatch)
+    run_figure("fig5", points=5, n_workers=2)
+    # one steady state per kappa override (0, 1 and 2) for all five rows
+    assert handed == [3]
+    assert started == [2]
 
 
 def test_stark_mode_solves_at_the_config_n_max(tmp_path, monkeypatch):
@@ -369,7 +397,6 @@ def test_stark_mode_solves_at_the_config_n_max(tmp_path, monkeypatch):
         return real(params, n_max=n_max)
 
     monkeypatch.setattr(cli, "solve_steady", spied)
-    cli._steady_alpha.cache_clear()
     cfg = load_config(_write_cfg(tmp_path, {
         "mode": "stark", "n_max": 4,
         "params": dict(BASE_PARAMS, g0=1.0, kappa=1.0)}))
@@ -454,8 +481,7 @@ def _count_solves(monkeypatch) -> list:
 
 
 def _direct(params: cli.SystemParams, n_max: int | None = None) -> dict:
-    return cli._run_point({"mode": "steady", "params": params,
-                           "n_max": n_max})
+    return cli._solve({"mode": "steady", "params": params, "n_max": n_max})
 
 
 @pytest.mark.parametrize("name, points", [("fig8", 6), ("fig6", 8)])
@@ -679,17 +705,26 @@ def test_map_ordered_runs_a_local_closure_in_item_order(two_cores):
 def test_process_count_is_bounded(tmp_path, monkeypatch, two_cores):
     started = _record_workers(monkeypatch)
     cfg = load_config(_write_cfg(tmp_path, {
-        "mode": "spectrum", "params": dict(BASE_PARAMS, g0=1.0, kappa=0.0),
-        "sweep": {"param": "delta_p", "start": -3.0, "stop": 3.0,
+        "mode": "steady", "n_max": 4, "params": dict(BASE_PARAMS, g0=1.0),
+        "sweep": {"param": "kappa", "start": 0.1, "stop": 1.0,
                   "points": 9}}))
     serial = run_config(cfg, n_workers=1)
     assert started == []
     # never more processes than cores
     assert run_config(cfg, n_workers=64).rows == serial.rows
     assert started == [2]
-    # nor than distinct systems: x2 and 1 - x2 fold, 4 systems for 7 rows
+    # a closed form starts none, however many workers are asked for
     _cores(monkeypatch, 64)
     started.clear()
+    cfg = load_config(_write_cfg(tmp_path, {
+        "mode": "spectrum", "params": dict(BASE_PARAMS, g0=1.0, kappa=0.0),
+        "sweep": {"param": "delta_p", "start": -3.0, "stop": 3.0,
+                  "points": 9}}))
+    assert run_config(cfg, n_workers=64).n_failed == 0
+    for name in ("fig4a", "fig9", "fig10"):
+        assert run_figure(name, points=5, n_workers=64).n_failed == 0
+    assert started == []
+    # nor than distinct systems: x2 and 1 - x2 fold, 4 systems for 7 rows
     cfg = load_config(_write_cfg(tmp_path, {
         "mode": "steady", "n_max": 5, "sweep": _SWEEP_X2,
         "params": {"positions": [0.0, 0.0], "g0": 10.0, "omega": 1.0,
@@ -699,7 +734,11 @@ def test_process_count_is_bounded(tmp_path, monkeypatch, two_cores):
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-def test_strict_mode_stops_on_a_worker_regime_warning(tmp_path, two_cores):
+def test_strict_mode_stops_on_a_spectrum_regime_warning_in_the_caller(
+        tmp_path, monkeypatch, two_cores):
+    # a probe of 0.5 is not weak against g0 = 1; the closed form warns in
+    # the calling process, which forks no worker for it
+    started = _record_workers(monkeypatch)
     cfg_path = _write_cfg(tmp_path, {
         "mode": "spectrum", "params": dict(BASE_PARAMS, g0=1.0, kappa=0.0),
         "probe": {"omega_p": 0.5},
@@ -709,22 +748,33 @@ def test_strict_mode_stops_on_a_worker_regime_warning(tmp_path, two_cores):
     assert main(["run", cfg_path, "--workers", "2"]) == EXIT_OK
     assert main(["run", cfg_path, "--workers", "2", "--strict"]) \
         == EXIT_REGIME
+    assert started == []
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
-def test_strict_mode_stops_on_a_worker_stark_regime_warning(tmp_path,
-                                                           two_cores):
-    # delta_2 = 5 is not far detuned against g0 = 1: the dispersive Stark
-    # shift warns in each worker, after the steady solve
-    cfg_path = _write_cfg(tmp_path, {
+def _stark_warning_config(tmp_path) -> str:
+    """A stark sweep over two steady states whose shifts all warn: delta_2
+    = 5 is not far detuned against g0 = 1."""
+    return _write_cfg(tmp_path, {
         "mode": "stark", "params": dict(BASE_PARAMS, g0=1.0, kappa=1.0),
         "n_max": 4, "stark": {"delta_2": 5.0},
         "sweep": {"param": "x_probe", "start": 0.0, "stop": 0.3,
                   "points": 4},
+        "sweep2": {"param": "kappa", "start": 0.5, "stop": 1.0, "points": 2},
         "output": {"path": str(tmp_path / "o.csv"), "format": "csv"}})
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_strict_mode_stops_on_a_stark_regime_warning_after_forked_solves(
+        tmp_path, monkeypatch, two_cores):
+    # two forked workers solve the steady states at kappa 0.5 and 1; the
+    # dispersive Stark shift then warns in the calling process, as it
+    # builds the rows
+    started = _record_workers(monkeypatch)
+    cfg_path = _stark_warning_config(tmp_path)
     assert main(["run", cfg_path, "--workers", "2"]) == EXIT_OK
     assert main(["run", cfg_path, "--workers", "2", "--strict"]) \
         == EXIT_REGIME
+    assert started == [2, 2]
 
 
 def test_worker_failure_gives_the_serial_rows(tmp_path, monkeypatch,
@@ -796,26 +846,24 @@ def test_a_killed_worker_fails_its_row(tmp_path, monkeypatch, two_cores):
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_no_worker_outlives_a_sweep(tmp_path, two_cores):
-    cfg_path = _write_cfg(tmp_path, {
-        "mode": "spectrum", "params": dict(BASE_PARAMS, g0=1.0, kappa=0.0),
-        "probe": {"omega_p": 0.5},
-        "sweep": {"param": "delta_p", "start": -1.0, "stop": 1.0,
-                  "points": 4},
-        "output": {"path": str(tmp_path / "o.csv"), "format": "csv"}})
+    cfg_path = _stark_warning_config(tmp_path)
     assert main(["run", cfg_path, "--workers", "2"]) == EXIT_OK
     assert multiprocessing.active_children() == []
     assert main(["run", cfg_path, "--workers", "2", "--strict"]) \
         == EXIT_REGIME
     assert multiprocessing.active_children() == []
 
-    def fails_at_three_and_six(item):
-        if item in (3, 6):
-            raise ValueError(item)
-        return item
 
-    # both items raise, in whichever worker; the lower index is raised
-    with pytest.raises(ValueError, match="^3$"):
-        cli._map_ordered(fails_at_three_and_six, list(range(8)), 2)
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_a_raising_item_comes_back_none(two_cores, n_workers):
+    def fails_at_three(item):
+        if item == 3:
+            raise ValueError(item)
+        return item * item
+
+    items = list(range(8))
+    results = cli._map_ordered(fails_at_three, items, n_workers)
+    assert results == [None if i == 3 else i * i for i in items]
     assert multiprocessing.active_children() == []
 
 
