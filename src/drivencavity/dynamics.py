@@ -137,6 +137,13 @@ class _TraceRowSystem:
     final), and returns the unit-trace Hermitian state with its residual
     check.
 
+    A system holds only what its solves and checks read: m, the space, L's
+    first row and the decay rates -2 Im diag(h_eff).  It keeps neither the
+    Superoperator nor L, so once a caller drops L, only m remains of the
+    two, which matters at the largest truncations, where L alone takes tens
+    of MB.  The residual's L rho is m rho with entry 0 taken from L's first
+    row; every other row of m is L's, entry for entry.
+
     Why kappa > 0 and gamma > 0 make the steady state unique on every
     truncation (Spohn, Rev. Mod. Phys. 52, 569 (1980); Baumgartner and
     Narnhofer, J. Phys. A 41, 395303 (2008)):
@@ -156,8 +163,10 @@ class _TraceRowSystem:
     """
 
     def __init__(self, l: Superoperator):
-        self.l = l
+        self.space = l.space
         self.m = m = _trace_row_matrix(l.matrix, l.space.dim)
+        self._row0 = l.matrix[:1]
+        self._decay = -2 * np.diag(l.h_eff).imag
         self._e0 = e0 = np.eye(1, m.shape[0], dtype=complex)[0]
         if l.space.n_atoms < 2:
             try:
@@ -175,7 +184,7 @@ class _TraceRowSystem:
     def scale(self) -> float:
         """|m|_1 over the smallest positive diagonal entry of -2 Im h_eff, or
         inf unless exactly one entry is <= 0 (kappa > 0 and gamma > 0)."""
-        decay = -2 * np.diag(self.l.h_eff).imag
+        decay = self._decay
         if np.count_nonzero(decay <= 0) != 1:
             return math.inf
         return float(spla.norm(self.m, 1) / decay[decay > 0].min())
@@ -215,18 +224,22 @@ class _TraceRowSystem:
 
     def state(self, x: np.ndarray) -> DensityMatrix:
         """The unit-trace Hermitian part of vec(rho) = x, unchecked."""
-        dim = self.l.space.dim
+        dim = self.space.dim
         rho = x.reshape(dim, dim)
         rho = (rho + rho.conj().T) / 2 / np.trace(rho).real
-        return DensityMatrix(self.l.space, rho)
+        return DensityMatrix(self.space, rho)
 
     def finish(self, x: np.ndarray) -> tuple[DensityMatrix, float]:
         """The state of first_pass's x, refined once on the GMRES path, and
         its residual |L rho|, or SteadyStateError when the residual exceeds
         1e-9 dim."""
         rho = self.state(self._refine(x))
-        dim = self.l.space.dim
-        residual = float(np.linalg.norm(self.l.matrix @ rho.entries.reshape(-1)))
+        dim = self.space.dim
+        # L rho is m rho but in row 0, where m holds the trace row
+        v = rho.entries.reshape(-1)
+        l_rho = self.m @ v
+        l_rho[0] = (self._row0 @ v)[0]
+        residual = float(np.linalg.norm(l_rho))
         if residual > 1e-9 * dim:
             raise SteadyStateError(
                 f"steady-state residual {residual:.3e} exceeds {1e-9 * dim:.3e}")

@@ -224,10 +224,25 @@ def term_plan(space: SpaceDescriptor) -> TermPlan:
         row, col = c.row.astype(np.int64), c.col.astype(np.int64)
         keys.append(((row * dim * side + col * dim)[:, None]
                      + row * side + col).ravel())
-    pattern, where = np.unique(np.concatenate(keys), return_inverse=True)
-    where = where.astype(np.int32)
+    # L's pattern is the distinct keys in order, and each key's destination
+    # its rank among them: np.unique(..., return_inverse=True), without its
+    # copies of the keys and its int64 ranks
+    bounds = np.cumsum([k.size for k in keys])[:-1]
+    keys = np.concatenate(keys)
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    pattern = keys[first]
+    del keys
+    rank = np.cumsum(first, dtype=np.int32)
+    rank -= 1
+    where = np.empty(rank.size, dtype=np.int32)
+    where[order] = rank
+    del order, rank
     indptr = np.searchsorted(pattern, np.arange(side + 1) * side)
-    destinations = np.split(where, np.cumsum([k.size for k in keys])[:-1])
+    destinations = np.split(where, bounds)
     plan = TermPlan(
         space=space,
         collapses=tuple(collapses),

@@ -205,6 +205,9 @@ def test_krylov_steady_state_matches_lu(positions, system, n_max, monkeypatch):
     krylov = observables(steady_state(l), p)
     assert gmres_calls
     system = dynamics._TraceRowSystem(l)
+    rho, residual = system.finish(system.first_pass())
+    # the residual column's bits: L rho from L itself
+    assert residual == float(np.linalg.norm(l.matrix @ rho.entries.reshape(-1)))
     x = spla.splu(system.m.tocsc()).solve(system._e0)
     lu = observables(system.state(x), p)
     for name in ("i_at_total", "i_cav", "mean_n", "g2_zero"):
@@ -219,7 +222,7 @@ def test_probe_runs_only_where_structure_and_scale_cannot_certify(
     real, estimated = dynamics._TraceRowSystem.estimate, []
 
     def counted(system):
-        estimated.append(system.l.space.n_max)
+        estimated.append(system.space.n_max)
         return real(system)
 
     monkeypatch.setattr(dynamics._TraceRowSystem, "estimate", counted)
@@ -246,10 +249,12 @@ def test_slow_system_is_certified_by_its_own_paths_solve():
 def test_residual_contract_refuses_a_perturbed_state():
     # one atom, so finish does not refine the perturbation away
     p = _params(kappa=0.5)
-    system = dynamics._TraceRowSystem(
-        build_liouvillian(p, build_space(p, n_max=6)))
+    l = build_liouvillian(p, build_space(p, n_max=6))
+    system = dynamics._TraceRowSystem(l)
     x = system.first_pass()
-    system.finish(x)
+    rho, residual = system.finish(x)
+    # the residual column's bits: L rho from L itself
+    assert residual == float(np.linalg.norm(l.matrix @ rho.entries.reshape(-1)))
     x = x + 1e-6 * np.random.default_rng(3).standard_normal(x.shape)
     with pytest.raises(SteadyStateError, match="residual"):
         system.finish(x)
@@ -259,14 +264,19 @@ def test_residual_contract_refuses_a_perturbed_state():
                          ids=["lu", "gmres"])
 def test_trace_row_system_is_freed_by_reference_counting(positions):
     # a sweep sets up thousands of these; held by a reference cycle, each
-    # keeps its factors or preconditioner until the cyclic collector runs
+    # keeps its factors or preconditioner until the cyclic collector runs.
+    # The system keeps neither the Superoperator nor L: at the largest
+    # truncations L next to m would add tens of MB to every solve
     p = _params(positions=positions, **_FIG6)
-    system = dynamics._TraceRowSystem(
-        build_liouvillian(p, build_space(p, n_max=3)))
-    system.finish(system.first_pass())
-    freed = weakref.ref(system)
+    l = build_liouvillian(p, build_space(p, n_max=3))
     gc.disable()
     try:
+        system = dynamics._TraceRowSystem(l)
+        superoperator, matrix = weakref.ref(l), weakref.ref(l.matrix)
+        del l
+        assert superoperator() is None and matrix() is None
+        system.finish(system.first_pass())
+        freed = weakref.ref(system)
         del system
         assert freed() is None
     finally:
@@ -386,7 +396,7 @@ def probes(monkeypatch):
     real = dynamics._TraceRowSystem.condition
 
     def counted(system):
-        seen.append(system.l.space.n_max)
+        seen.append(system.space.n_max)
         return real(system)
 
     monkeypatch.setattr(dynamics._TraceRowSystem, "condition", counted)
