@@ -96,14 +96,15 @@ def _require_keys(section: dict, allowed: set, where: str) -> None:
 
 
 def _number(value, where: str, kind=float):
-    """value as a finite float, or as an int when kind is int; a bool, or
-    a non-integer such as 2.5 or "3" for an int, is a ConfigError."""
+    """value, a JSON number, as a finite float, or as an int when kind is
+    int.  Anything else is a ConfigError: a string such as "1.0" or "3", a
+    bool, or a non-integer such as 2.5 for an int."""
     what = "an integer" if kind is int else "a number"
-    if isinstance(value, bool) or (kind is int and type(value) is not int):
+    if type(value) not in ((int,) if kind is int else (int, float)):
         raise ConfigError(f"{where} must be {what}, got {value!r}")
     try:
         number = float(value)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         raise ConfigError(f"{where} must be {what}, got {value!r}") from None
     if not math.isfinite(number):
         raise ConfigError(f"{where} must be finite, got {value!r}")
@@ -232,6 +233,14 @@ def load_config(path: str) -> dict:
     if cfg["sweep2"] is not None and cfg["sweep"] is None:
         raise ConfigError("sweep2 requires sweep")
     sweeps = [s for s in (cfg["sweep"], cfg["sweep2"]) if s]
+    # one setting swept twice would write one column per sweep, both
+    # holding sweep2's value; position[1] and position[01] name one atom
+    targets = {int(s["param"][len("position["):-1])
+               if s["param"].startswith("position[") else s["param"]
+               for s in sweeps}
+    if len(targets) < len(sweeps):
+        raise ConfigError(f"sweep and sweep2 both sweep "
+                          f"'{cfg['sweep2']['param']}'")
     cfg["grid"] = _grid(cfg, [(s["param"], [float(v) for v in _sweep_values(s)])
                               for s in sweeps])
     return cfg

@@ -8,7 +8,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.sparse as sp
 
 from .model import (
@@ -122,7 +121,9 @@ def probe_stark_shift(x_probe: float, delta_2: float, params: SystemParams,
 _solvers = threading.local()
 
 
-def _dop853_solver() -> scipy.integrate.ode:
+def _dop853_solver():
+    # imported here: only this probe needs it, and it loads scipy.optimize
+    import scipy.integrate
     if not hasattr(_solvers, "dop853"):
         _solvers.dop853 = scipy.integrate.ode(_probe_rhs).set_integrator(
             "dop853", rtol=1e-8, atol=1e-10, nsteps=100_000)

@@ -188,6 +188,36 @@ def test_malformed_field_is_config_error(tmp_path, overrides):
     assert main(["validate", cfg]) == EXIT_CONFIG
 
 
+# each of these once passed, read through float()
+@pytest.mark.parametrize("overrides", [
+    {"params": dict(BASE_PARAMS, g0="1.0")},
+    {"params": dict(BASE_PARAMS, positions=["0.1"])},
+    {"mode": "evolve", "evolve": {"t_final": "2"}},
+    {"sweep": {"param": "kappa", "start": "0", "stop": 1.0, "points": 3}},
+], ids=["params", "positions", "section", "sweep"])
+def test_number_given_as_a_string_is_config_error(tmp_path, overrides):
+    cfg = _write_cfg(tmp_path, dict({
+        "mode": "steady", "params": BASE_PARAMS,
+        "output": {"path": str(tmp_path / "o.csv"), "format": "csv"}},
+        **overrides))
+    assert main(["validate", cfg]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("param, again", [
+    ("kappa", "kappa"),
+    ("position[0]", "position[0]"),
+    ("position[0]", "position[00]"),
+])
+def test_setting_swept_by_sweep_and_sweep2_is_config_error(tmp_path, param,
+                                                           again):
+    cfg = _write_cfg(tmp_path, {
+        "mode": "steady", "params": BASE_PARAMS,
+        "sweep": {"param": param, "start": 0.1, "stop": 0.2, "points": 2},
+        "sweep2": {"param": again, "start": 0.2, "stop": 0.3, "points": 2},
+        "output": {"path": str(tmp_path / "o.csv"), "format": "csv"}})
+    assert main(["validate", cfg]) == EXIT_CONFIG
+
+
 def test_single_point_run_gives_one_row(tmp_path):
     cfg = load_config(_write_cfg(tmp_path, {
         "mode": "steady", "params": BASE_PARAMS,
@@ -974,6 +1004,33 @@ def test_installed_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert (tmp_path / "fig4a.csv").exists()
+
+
+def _modules_loaded_after(code: str) -> dict:
+    """Which of scipy.integrate and scipy.optimize a fresh interpreter with
+    src on its path holds after running code."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    names = ("scipy.integrate", "scipy.optimize")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys\n{code}\nprint(*(n in sys.modules for n in {names}))"],
+        capture_output=True, text=True, env=env, check=True)
+    return dict(zip(names, (word == "True" for word in proc.stdout.split())))
+
+
+def test_scipy_integrate_is_loaded_only_by_the_probe():
+    # no CLI mode integrates in time: importing the CLI loads neither
+    # scipy.integrate nor the scipy.optimize it would bring along
+    assert _modules_loaded_after("import drivencavity.cli") == {
+        "scipy.integrate": False, "scipy.optimize": False}
+    probe = ("from drivencavity import (ProbeParams, SystemParams,\n"
+             "    probe_response_numeric)\n"
+             "probe_response_numeric(10.0, SystemParams(positions=(0.0,),\n"
+             "    g0=10.0, omega=1.0, kappa=1e-3), ProbeParams(0.05),\n"
+             "    n_max=6, t_final=1.0)")
+    assert _modules_loaded_after(probe)["scipy.integrate"]
 
 
 def test_all_presets_known():
