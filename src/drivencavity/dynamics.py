@@ -94,13 +94,14 @@ def steady_state(l: Superoperator) -> DensityMatrix:
     """Unique unit-trace null element of the Liouvillian.
 
     The first equation of L rho = 0 is replaced by the trace row, which
-    gives a matrix m with m vec(rho) = e_0.  With one atom, m is solved by
-    sparse LU; with more, by GMRES preconditioned with the inverse of
-    rho -> -i(h_eff rho - rho h_eff^dag), to relative residual 1e-8, and
-    refined once: GMRES solves m d = e_0 - m x to 1e-8 of its right-hand
-    side and x += d.  (Adding 1 tr(rho) to every diagonal equation instead
-    of the trace row would put rounding noise on all of them, which
-    near-dark states cannot afford.)
+    gives a matrix m with m vec(rho) = e_0.  With one atom, m is built and
+    solved by sparse LU; with more, m is never built: GMRES, preconditioned
+    with the inverse of rho -> -i(h_eff rho - rho h_eff^dag), applies m as
+    L with its entry 0 replaced by the trace, to relative residual 1e-8,
+    and refines once: GMRES solves m d = e_0 - m x to 1e-8 of its
+    right-hand side and x += d.  (Adding 1 tr(rho) to every diagonal
+    equation instead of the trace row would put rounding noise on all of
+    them, which near-dark states cannot afford.)
 
     The state is certified before it is solved for: a degenerate null space
     makes m singular.  Where kappa > 0 (and gamma > 0) the state is unique
@@ -136,12 +137,14 @@ class _TraceRowSystem:
     final), and returns the unit-trace Hermitian state with its residual
     check.
 
-    A system holds only what its solves and checks read: m, the space, L's
-    first row and the decay rates -2 Im diag(h_eff).  It keeps neither the
-    Superoperator nor L, so once a caller drops L, only m remains of the
-    two, which matters at the largest truncations, where L alone takes tens
-    of MB.  The residual's L rho is m rho with entry 0 taken from L's first
-    row; every other row of m is L's, entry for entry.
+    A system holds only what its solves and checks read: L's CSR matrix,
+    the space and the decay rates -2 Im diag(h_eff), and no copy of L.  It
+    keeps no Superoperator.  The LU path builds m only to factor it; the
+    GMRES path applies m v as L v with entry 0 replaced by the trace row's
+    product, which gives the bits of the product with a built m, whose
+    other rows are L's entry for entry.  At the largest truncations L
+    alone takes tens of MB, so a copy next to it would double a solve's
+    memory.
 
     Why kappa > 0 and gamma > 0 make the steady state unique on every
     truncation (Spohn, Rev. Mod. Phys. 52, 569 (1980); Baumgartner and
@@ -162,23 +165,44 @@ class _TraceRowSystem:
     """
 
     def __init__(self, l: Superoperator):
-        self.space = l.space
-        self.m = m = _trace_row_matrix(l.matrix, l.space.dim)
-        self._row0 = l.matrix[:1]
+        self.space, dim = l.space, l.space.dim
+        self.lmat = lmat = l.matrix
         self._decay = -2 * np.diag(l.h_eff).imag
-        self._e0 = e0 = np.eye(1, m.shape[0], dtype=complex)[0]
+        self._e0 = e0 = np.eye(1, lmat.shape[0], dtype=complex)[0]
+        # closures over locals, not self: a cycle through self would hold L
+        # and the factors or preconditioner until the cyclic collector runs
         if l.space.n_atoms < 2:
             try:
-                self._solve = spla.splu(m.tocsc()).solve
+                self._solve = spla.splu(
+                    _trace_row_matrix(lmat, dim).tocsc()).solve
             except RuntimeError:
                 raise DegenerateSteadyStateError(math.inf) from None
             self._refine = lambda x: x
         else:
+            trace = sp.csr_matrix(
+                (np.ones(dim, dtype=lmat.dtype), _trace_columns(lmat, dim),
+                 [0, dim]), shape=(1, lmat.shape[1]))
+
+            def matvec(v):
+                mv = lmat @ v
+                mv[0] = (trace @ v)[0]
+                return mv
+
+            m = spla.LinearOperator(lmat.shape, matvec, dtype=lmat.dtype)
             precondition = _no_jump_inverse(l.h_eff)
-            # closures over locals, not self: a cycle through self would
-            # hold m and the preconditioner until the cyclic collector runs
             self._solve = solve = lambda rhs: _gmres(m, rhs, precondition)
-            self._refine = lambda x: x + solve(e0 - m @ x)
+            self._refine = lambda x: x + solve(e0 - matvec(x))
+
+    @functools.cached_property
+    def norm1(self) -> float:
+        """|m|_1, the largest column sum of |L| with row 0 taken as the
+        trace row, summed in the order of scipy's norm of a built m."""
+        lmat, dim = self.lmat, self.space.dim
+        start = lmat.indptr[1]
+        sums = np.zeros(lmat.shape[1])
+        sums[_trace_columns(lmat, dim)] = 1.0
+        np.add.at(sums, lmat.indices[start:], np.abs(lmat.data[start:]))
+        return float(sums.max())
 
     def scale(self) -> float:
         """|m|_1 over the smallest positive diagonal entry of -2 Im h_eff, or
@@ -186,7 +210,7 @@ class _TraceRowSystem:
         decay = self._decay
         if np.count_nonzero(decay <= 0) != 1:
             return math.inf
-        return float(spla.norm(self.m, 1) / decay[decay > 0].min())
+        return self.norm1 / float(decay[decay > 0].min())
 
     def condition(self) -> tuple[float, str]:
         """(bound, how) that certifies m, or DegenerateSteadyStateError.
@@ -205,14 +229,13 @@ class _TraceRowSystem:
         """The 1-norm condition estimate of m from the path's solve against
         a fixed random vector, or DegenerateSteadyStateError when that solve
         fails or the estimate exceeds DEGENERACY_CONDITION_LIMIT."""
-        side = self.m.shape[0]
+        side = self.lmat.shape[0]
         r = np.random.default_rng(0).standard_normal(side).astype(complex)
         try:
             x = self._solve(r)
         except SteadyStateError as exc:
             raise DegenerateSteadyStateError(math.inf, str(exc)) from None
-        condition = float(spla.norm(self.m, 1) * np.abs(x).sum()
-                          / np.abs(r).sum())
+        condition = float(self.norm1 * np.abs(x).sum() / np.abs(r).sum())
         if not condition <= DEGENERACY_CONDITION_LIMIT:
             raise DegenerateSteadyStateError(condition)
         return condition
@@ -234,25 +257,26 @@ class _TraceRowSystem:
         1e-9 dim."""
         rho = self.state(self._refine(x))
         dim = self.space.dim
-        # L rho is m rho but in row 0, where m holds the trace row
-        v = rho.entries.reshape(-1)
-        l_rho = self.m @ v
-        l_rho[0] = (self._row0 @ v)[0]
-        residual = float(np.linalg.norm(l_rho))
+        residual = float(np.linalg.norm(self.lmat @ rho.entries.reshape(-1)))
         if residual > 1e-9 * dim:
             raise SteadyStateError(
                 f"steady-state residual {residual:.3e} exceeds {1e-9 * dim:.3e}")
         return rho, residual
 
 
+def _trace_columns(lmat: sp.csr_matrix, dim: int) -> np.ndarray:
+    """The columns of vec(rho)'s diagonal entries, where the trace row of
+    lmat's space holds its ones, in lmat's index type."""
+    return np.arange(dim, dtype=lmat.indices.dtype) * (dim + 1)
+
+
 def _trace_row_matrix(lmat: sp.csr_matrix, dim: int) -> sp.csr_matrix:
     """lmat with its row 0 replaced by the trace row, the ones at the
     diagonal entries of vec(rho); built from new CSR arrays."""
     start = lmat.indptr[1]
-    trace = np.arange(dim, dtype=lmat.indices.dtype) * (dim + 1)
     return sp.csr_matrix(
         (np.concatenate((np.ones(dim), lmat.data[start:])),
-         np.concatenate((trace, lmat.indices[start:])),
+         np.concatenate((_trace_columns(lmat, dim), lmat.indices[start:])),
          np.concatenate(([0], lmat.indptr[1:] - start + dim))),
         shape=lmat.shape)
 
@@ -282,17 +306,21 @@ def _no_jump_inverse(h_eff: np.ndarray) -> spla.LinearOperator:
 
 
 def _gmres(m, rhs, precondition):
-    """Restarted GMRES solution of m x = rhs to relative residual 1e-8.
+    """Restarted GMRES solution of m x = rhs to relative residual 1e-8,
+    with m a LinearOperator.
 
     Raises SteadyStateError with the iteration count and residual if it
-    does not get there in ten restart cycles of 100 iterations.
+    does not get there in ten restart cycles of 100 iterations.  scipy
+    allocates its restart + 1 = 101 Krylov vectors of dim^2 complex entries
+    up front (238 MB of address space at five atoms, dim 384); their pages
+    become resident as the iteration reaches each vector.
     """
     residuals = []
     x, info = spla.gmres(m, rhs, rtol=1e-8, restart=100, maxiter=10,
                          M=precondition, callback=residuals.append,
                          callback_type="pr_norm")
     if info != 0:
-        relres = np.linalg.norm(rhs - m @ x) / np.linalg.norm(rhs)
+        relres = np.linalg.norm(rhs - m.matvec(x)) / np.linalg.norm(rhs)
         raise SteadyStateError(
             f"GMRES stopped after {len(residuals)} iterations at relative "
             f"residual {relres:.3e}, target 1e-08")
@@ -335,6 +363,11 @@ def _expm_action(a: sp.csr_matrix, v: np.ndarray, t: float) -> np.ndarray:
     rule), and multiplies by exp(mu h).  The 1-norm is computed exactly,
     not estimated as in scipy's expm_multiply, whose estimate draws from
     numpy's global random state.
+
+    Degree 55 is also where their choice of (m, s) lands when the exact
+    1-norm is the only bound: s m ~ t |a - mu|_1 m / theta_m is least where
+    theta_m / m is largest, 9.9/55 against 8.5/50 and 6.0/40.  Only the
+    |a^p|^(1/p) bounds of their Algorithm 3.2 could take fewer steps.
     """
     side = a.shape[0]
     mu = a.diagonal().sum() / side
@@ -467,6 +500,8 @@ def solve_steady(params: SystemParams, n_max: int | None = None) -> SteadySoluti
     solved, as in steady_state, so a degenerate system fails there.  A
     later one is certified only if it is returned, on the same
     factorization or preconditioner; a discarded step is never certified.
+    A discarded step's system and first pass are released before the next
+    Liouvillian is built, so at most one truncation's L is held at a time.
     Runs with each OpenBLAS copy on one thread, which holds for the whole
     process while the solve runs (see _one_blas_thread).
     """
@@ -483,18 +518,19 @@ def solve_steady(params: SystemParams, n_max: int | None = None) -> SteadySoluti
                 condition, certified = system.condition()
             x = system.first_pass()
             tail = fock_populations(system.state(x))[-2:].sum()
-            if tail >= TAIL_POPULATION_LIMIT:
-                continue
-            rho, residual = system.finish(x)
-            tail = fock_populations(rho)[-2:].sum()
             if tail < TAIL_POPULATION_LIMIT:
-                if escalation:
-                    condition, certified = system.condition()
-                return SteadySolution(
-                    rho=rho, space=space, n_max=current, residual=residual,
-                    escalations=escalation, condition=condition,
-                    certified=certified,
-                )
+                rho, residual = system.finish(x)
+                tail = fock_populations(rho)[-2:].sum()
+                if tail < TAIL_POPULATION_LIMIT:
+                    if escalation:
+                        condition, certified = system.condition()
+                    return SteadySolution(
+                        rho=rho, space=space, n_max=current,
+                        residual=residual, escalations=escalation,
+                        condition=condition, certified=certified,
+                    )
+            # L of this truncation goes before the next one's is built
+            del system, x
         raise TruncationEscalationError(
             f"Fock tail population {tail:.3e} at n_max={current} is above "
             f"{TAIL_POPULATION_LIMIT} after {MAX_TRUNCATION_ESCALATIONS} "

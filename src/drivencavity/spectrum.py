@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import threading
 import warnings
@@ -28,9 +29,13 @@ class SpectrumDomainError(ValueError):
 
 @dataclass(frozen=True)
 class ProbeParams:
-    """Weak probe coupled to the atomic dipole."""
+    """Weak probe coupled to the atomic dipole; a non-finite amplitude is a
+    ValueError."""
 
     omega_p_tilde: float
+
+    def __post_init__(self):
+        _require_finite(omega_p_tilde=self.omega_p_tilde)
 
     def weak_for(self, params: SystemParams) -> bool:
         gbar = abs(atom_coupling(params))
@@ -46,6 +51,13 @@ class ResonancePair:
     gamma_plus: float
     gamma_minus: float
     regime_valid: bool
+
+
+def _require_finite(**values: complex) -> None:
+    """ValueError naming the first of values that is nan or infinite."""
+    for name, value in values.items():
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _coupled_gbar(params: SystemParams) -> float:
@@ -68,7 +80,9 @@ def excitation_spectrum(delta_p: float, params: SystemParams,
 
 def transition_amplitude(delta_p: float, params: SystemParams,
                          probe: ProbeParams) -> complex:
-    """Probe-to-continuum scattering amplitude, per unit bath coupling."""
+    """Probe-to-continuum scattering amplitude, per unit bath coupling.
+    A non-finite delta_p is a ValueError."""
+    _require_finite(delta_p=delta_p)
     if params.n_atoms != 1 or params.kappa != 0 or params.delta_c != 0:
         raise SpectrumDomainError(
             "excitation spectrum requires N=1, kappa=0 and delta_c=0")
@@ -102,8 +116,10 @@ def probe_stark_shift(x_probe: float, delta_2: float, params: SystemParams,
 
     Dispersive second order in the local field, |Omega e^{i phi} +
     g(x') <a>_ss|^2 / Delta_2, with alpha_ss = <a>_ss the mean field of
-    the unperturbed steady state.
+    the unperturbed steady state.  A non-finite x_probe, delta_2 or
+    alpha_ss is a ValueError.
     """
+    _require_finite(x_probe=x_probe, delta_2=delta_2, alpha_ss=alpha_ss)
     if delta_2 == 0:
         raise ValueError("probe-atom detuning must be nonzero")
     if abs(delta_2) < 10 * max(abs(params.g0), abs(params.omega)):
@@ -156,10 +172,12 @@ def probe_response_numeric(delta_p: float, params: SystemParams,
     are stacked into one sparse matrix, so each right-hand side is one
     product.  Integrated by DOP853 (scipy.integrate.ode) on the real and
     imaginary parts of vec(rho), to tolerances 1e-8 (relative) and 1e-10
-    (absolute) on each part.  t_final must be finite and positive.
+    (absolute) on each part.  t_final must be finite and positive, and
+    delta_p finite.
     """
     if not 0 < t_final < math.inf:
         raise ValueError(f"t_final must be finite and > 0, got {t_final!r}")
+    _require_finite(delta_p=delta_p)
     sol = solve_steady(params, n_max=n_max)
     space = sol.space
     l = build_liouvillian(params, space)

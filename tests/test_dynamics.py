@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import math
+import types
 import weakref
 
 import numpy as np
@@ -149,6 +150,14 @@ def _scan_systems():
         yield _params(g0=0.0, omega=omega, kappa=1.0), 1
 
 
+def _built_m(system):
+    """The trace-row matrix m of a system, built from its L, after checking
+    the system's |m|_1 against scipy's norm of m."""
+    m = dynamics._trace_row_matrix(system.lmat, system.space.dim)
+    assert system.norm1 == pytest.approx(spla.norm(m, 1), rel=1e-15)
+    return m
+
+
 def test_condition_estimate_is_bounded_by_the_scale():
     # the probe's estimate reached 1.45 times |m|_1 / min(kappa, gamma) on
     # the scans behind CONDITION_SCALE_BOUND, and the exact 1-norm condition
@@ -160,9 +169,10 @@ def test_condition_estimate_is_bounded_by_the_scale():
                 build_liouvillian(p, build_space(p, n_max)))
             scale = system.scale()
             ratios.append(system.estimate() / scale)
-            if system.m.shape[0] <= 576:
-                exact = (spla.norm(system.m, 1) * np.abs(
-                    np.linalg.inv(system.m.toarray())).sum(axis=0).max())
+            m = _built_m(system)
+            if m.shape[0] <= 576:
+                exact = (spla.norm(m, 1) * np.abs(
+                    np.linalg.inv(m.toarray())).sum(axis=0).max())
                 assert exact <= dynamics.CONDITION_SCALE_BOUND * scale
     assert max(ratios) <= 2.0
 
@@ -208,7 +218,7 @@ def test_krylov_steady_state_matches_lu(positions, system, n_max, monkeypatch):
     rho, residual = system.finish(system.first_pass())
     # the residual column's bits: L rho from L itself
     assert residual == float(np.linalg.norm(l.matrix @ rho.entries.reshape(-1)))
-    x = spla.splu(system.m.tocsc()).solve(system._e0)
+    x = spla.splu(_built_m(system).tocsc()).solve(system._e0)
     lu = observables(system.state(x), p)
     for name in ("i_at_total", "i_cav", "mean_n", "g2_zero"):
         assert getattr(krylov, name) == pytest.approx(getattr(lu, name),
@@ -260,27 +270,78 @@ def test_residual_contract_refuses_a_perturbed_state():
         system.finish(x)
 
 
+def _reachable_sparse(root, shape):
+    """The sparse matrices of the given shape reachable from root through
+    attributes, containers and closures (not modules, types or globals)."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if sp.issparse(obj) and obj.shape == shape:
+            found.append(obj)
+        if isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
 @pytest.mark.parametrize("positions", [(0.0,), (0.0, 0.37)],
                          ids=["lu", "gmres"])
 def test_trace_row_system_is_freed_by_reference_counting(positions):
     # a sweep sets up thousands of these; held by a reference cycle, each
-    # keeps its factors or preconditioner until the cyclic collector runs.
-    # The system keeps neither the Superoperator nor L: at the largest
-    # truncations L next to m would add tens of MB to every solve
+    # keeps L and its factors or preconditioner until the cyclic collector
+    # runs.  The system holds L itself and no copy of it (the LU path drops
+    # m once factored): at the largest truncations a copy would add tens of
+    # MB to every solve
     p = _params(positions=positions, **_FIG6)
     l = build_liouvillian(p, build_space(p, n_max=3))
     gc.disable()
     try:
         system = dynamics._TraceRowSystem(l)
-        superoperator, matrix = weakref.ref(l), weakref.ref(l.matrix)
+        assert system.lmat is l.matrix
+        assert [id(found) for found in _reachable_sparse(
+            system, l.matrix.shape)] == [id(l.matrix)]
+        superoperator = weakref.ref(l)
         del l
-        assert superoperator() is None and matrix() is None
+        assert superoperator() is None
         system.finish(system.first_pass())
         freed = weakref.ref(system)
         del system
         assert freed() is None
     finally:
         gc.enable()
+
+
+def test_escalation_releases_each_truncation_before_the_next(monkeypatch):
+    # fig7 next to lambda/2: n_max 11 -> 17 -> 26 -> 39, each step
+    # discarded; its system must be gone before the next L is built, so
+    # that no two truncations' L are held at once
+    real_system, real_build = (dynamics._TraceRowSystem,
+                               dynamics.build_liouvillian)
+    systems, alive = [], []
+
+    def recorded(l):
+        system = real_system(l)
+        systems.append(weakref.ref(system))
+        return system
+
+    def build(params, space):
+        alive.append([ref() is not None for ref in systems])
+        return real_build(params, space)
+
+    monkeypatch.setattr(dynamics, "_TraceRowSystem", recorded)
+    monkeypatch.setattr(dynamics, "build_liouvillian", build)
+    p = _params(positions=(0.0, 100 / 201), **_FIG7)
+    gc.disable()
+    try:
+        with pytest.raises(TruncationEscalationError):
+            solve_steady(p)
+    finally:
+        gc.enable()
+    assert alive == [[], [False], [False] * 2, [False] * 3]
 
 
 def test_one_atom_stays_on_lu_above_crossover(monkeypatch):

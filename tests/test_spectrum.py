@@ -1,4 +1,5 @@
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -200,3 +201,32 @@ def test_numeric_probe_leaves_no_solver_behind():
         probe_response_numeric(delta_p, p, ProbeParams(0.05), n_max=2,
                                t_final=1.0)
     assert live_solvers() == before
+
+
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: excitation_spectrum(_NAN, _params(), PROBE), "delta_p"),
+    (lambda: excitation_spectrum(-_INF, _params(), PROBE), "delta_p"),
+    (lambda: transition_amplitude(_INF, _params(), PROBE), "delta_p"),
+    (lambda: probe_response_numeric(_NAN, _params(g0=10.0, kappa=1e-3),
+                                    PROBE, n_max=6), "delta_p"),
+    (lambda: probe_response_numeric(_INF, _params(g0=10.0, kappa=1e-3),
+                                    PROBE, n_max=6), "delta_p"),
+    (lambda: probe_response_numeric(0.0, _params(g0=10.0, kappa=1e-3),
+                                    ProbeParams(_NAN), n_max=6),
+     "omega_p_tilde"),
+    (lambda: ProbeParams(omega_p_tilde=_INF), "omega_p_tilde"),
+    (lambda: probe_stark_shift(_NAN, 1000.0, _params(), 0.1j), "x_probe"),
+    (lambda: probe_stark_shift(_INF, 1000.0, _params(), 0.1j), "x_probe"),
+    (lambda: probe_stark_shift(0.3, _NAN, _params(), 0.1j), "delta_2"),
+    (lambda: probe_stark_shift(0.3, 1000.0, _params(), complex(_NAN, 0)),
+     "alpha_ss"),
+], ids=["spectrum-nan", "spectrum-inf", "amplitude-inf", "numeric-nan",
+        "numeric-inf", "numeric-probe-nan", "probe-inf", "stark-x-nan",
+        "stark-x-inf", "stark-delta2-nan", "stark-alpha-nan"])
+def test_probe_entry_points_refuse_a_non_finite_input(call, name):
+    # each once returned nan, or ended in a DOP853 failure at t=0
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        call()
