@@ -34,7 +34,8 @@ from .collective import (PatternSpec, emission_rates, excited_population,
 from .dynamics import (_one_blas_thread, evolve, ground_state, observables,
                        solve_steady)
 from .figures import PRESETS, Preset, preset_names
-from .model import RegimeWarning, SystemParams, build_liouvillian, build_space
+from .model import (RegimeWarning, SystemParams, build_liouvillian,
+                    build_space, term_plan)
 from .spectrum import (ProbeParams, SpectrumDomainError, excitation_spectrum,
                        probe_stark_shift, transition_amplitude)
 
@@ -543,8 +544,12 @@ def _sweep(grid: list, sources: list, n_workers: int | None,
     _map_ordered: a steady or evolve point, or a stark point's steady state.
     A steady system that equals an earlier one up to a map of _system_key
     takes the earlier solve, with the pi_e columns following the atoms, and
-    fails when that solve fails.  The rows are then built in this process,
-    spectrum and collective ones from their closed forms.
+    fails when that solve fails.  The term plans of the first distinct
+    spaces, as many as model.term_plan keeps, are built here before the
+    fork, so that workers inherit them; a plan that cannot be built here,
+    and that of an escalated truncation, is built by the worker that needs
+    it.  The rows are then built in this process, spectrum and collective
+    ones from their closed forms.
     """
     named = [(src, ()) if isinstance(src, str)
              else (src[0], tuple(src[1].items())) for src in sources]
@@ -573,6 +578,10 @@ def _sweep(grid: list, sources: list, n_workers: int | None,
             plan[over] = (at, index, renames)
         plans.append((known, plan))
 
+    spaces = dict.fromkeys(build_space(system["params"], system["n_max"])
+                           for system in systems)
+    for space in itertools.islice(spaces, term_plan.cache_info().maxsize):
+        _none_if_raised(term_plan, space)
     solved = _map_ordered(_solve, systems, n_workers or 1)
     rows, failed = [], 0
     for known, plan in plans:

@@ -139,12 +139,12 @@ class _TraceRowSystem:
 
     A system holds only what its solves and checks read: L's CSR matrix,
     the space and the decay rates -2 Im diag(h_eff), and no copy of L.  It
-    keeps no Superoperator.  The LU path builds m only to factor it; the
-    GMRES path applies m v as L v with entry 0 replaced by the trace row's
-    product, which gives the bits of the product with a built m, whose
-    other rows are L's entry for entry.  At the largest truncations L
-    alone takes tens of MB, so a copy next to it would double a solve's
-    memory.
+    keeps no Superoperator.  The LU path builds m only to factor it, as
+    the CSC matrix m^T that m's CSR arrays are, and solves with
+    trans="T"; the GMRES path applies m v as L v with entry 0 replaced by
+    the sum of v's diagonal entries, the trace.  Both take the trace row
+    from _trace_columns.  At the largest truncations L alone takes tens of
+    MB, so a copy next to it would double a solve's memory.
 
     Why kappa > 0 and gamma > 0 make the steady state unique on every
     truncation (Spohn, Rev. Mod. Phys. 52, 569 (1980); Baumgartner and
@@ -173,19 +173,17 @@ class _TraceRowSystem:
         # and the factors or preconditioner until the cyclic collector runs
         if l.space.n_atoms < 2:
             try:
-                self._solve = spla.splu(
-                    _trace_row_matrix(lmat, dim).tocsc()).solve
+                lu = spla.splu(_trace_row_matrix(lmat, dim).T)
             except RuntimeError:
                 raise DegenerateSteadyStateError(math.inf) from None
+            self._solve = lambda rhs: lu.solve(rhs, trans="T")
             self._refine = lambda x: x
         else:
-            trace = sp.csr_matrix(
-                (np.ones(dim, dtype=lmat.dtype), _trace_columns(lmat, dim),
-                 [0, dim]), shape=(1, lmat.shape[1]))
+            diagonal = _trace_columns(lmat, dim)
 
             def matvec(v):
                 mv = lmat @ v
-                mv[0] = (trace @ v)[0]
+                mv[0] = v[diagonal].sum()
                 return mv
 
             m = spla.LinearOperator(lmat.shape, matvec, dtype=lmat.dtype)

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import multiprocessing
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drivencavity import cli, dynamics
+from drivencavity import cli, dynamics, model
 from drivencavity.collective import PatternSpec, in_phase_alpha
 from drivencavity.cli import (
     EXIT_CONFIG,
@@ -418,6 +419,33 @@ def test_fig5_hands_its_three_steady_states_to_the_workers(monkeypatch,
     assert started == [2]
 
 
+def test_workers_inherit_the_term_plans_the_caller_built(tmp_path,
+                                                        monkeypatch,
+                                                        two_cores):
+    # a fresh plan cache that logs the pid building each plan; forked
+    # workers append to the same file
+    log, build = tmp_path / "plans.log", model.term_plan.__wrapped__
+
+    @functools.lru_cache(maxsize=model.term_plan.cache_info().maxsize)
+    def logged(space):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {space.n_atoms} {space.n_max}\n")
+        return build(space)
+
+    for module in (model, dynamics, cli):
+        monkeypatch.setattr(module, "term_plan", logged)
+    started = _record_workers(monkeypatch)
+    assert run_figure("fig6", points=5, n_workers=2).n_failed == 0
+    assert started == [2]
+    builds = [line.split(maxsplit=1)
+              for line in log.read_text(encoding="utf-8").splitlines()]
+    by_caller = {space for pid, space in builds if int(pid) == os.getpid()}
+    # fig6's one space, two atoms at n_max 11, is built here and only here
+    assert by_caller == {"2 11"}
+    assert [space for pid, space in builds
+            if int(pid) != os.getpid() and space in by_caller] == []
+
+
 def test_stark_mode_solves_at_the_config_n_max(tmp_path, monkeypatch):
     asked = []
     real = cli.solve_steady
@@ -465,9 +493,11 @@ def _library_row(mode: str, point: dict) -> dict:
     ("evolve", {"g0": 1.0, "kappa": 1.0}, {}, "t_final", 0.5, 1.5),
     ("collective", {"g0": 0.1, "omega": 0.1, "kappa": 1.0}, {}, "n_atoms",
      2, 10),
-    # off x = 0 and off the probe's field node, the pump phases show
+    # off x = 0 and off the probe's field node, the pump phases show; a
+    # probe at the atom's own position sees them cancel (<a> turns with the
+    # atom's pump phase), so it sits elsewhere
     ("stark", {"g0": 1.0, "kappa": 1.0, "positions": [0.1]},
-     {"stark": {"x_probe": 0.1}}, "theta", 0.5, 1.5),
+     {"stark": {"x_probe": 0.2}}, "theta", 0.5, 1.5),
 ], ids=["spectrum-delta_p", "stark-x_probe", "stark-delta_2",
         "evolve-t_final", "collective-n_atoms", "stark-theta"])
 def test_swept_setting_reaches_its_quantity(tmp_path, mode, params, section,

@@ -1,12 +1,15 @@
 import gc
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.integrate
 
 from drivencavity.dynamics import observables, solve_steady
-from drivencavity.model import RegimeWarning, SystemParams, build_liouvillian
+from drivencavity.figures import PRESETS
+from drivencavity.model import (RegimeWarning, SystemParams, build_liouvillian,
+                               mode_function)
 from drivencavity.operators import atomic_lowering, expectation
 from drivencavity.spectrum import (
     ProbeParams,
@@ -131,6 +134,19 @@ def test_stark_shift_never_vanishes_with_cavity_loss():
     shifts = [probe_stark_shift(x, 1000.0, p, alpha_ss=alpha)
               for x in np.linspace(0, 1, 41)]
     assert min(shifts) > 0
+
+
+def test_stark_map_leaves_out_half_the_exact_shift_at_the_minimum():
+    # fig5 shows the mean-field shift |Omega e^{i phi} + g <a>|^2 / Delta_2;
+    # the quantized mode's <E^dag E> / Delta_2 adds g^2 (<a^dag a> -
+    # |<a>|^2) / Delta_2.  At fig5's kappa = 1 and x' = 0, the intensity
+    # minimum, that term measured 50.72% of the shown shift
+    p = replace(PRESETS["fig5"].params, kappa=1.0)
+    obs = observables(solve_steady(p).rho, p)
+    g, _ = mode_function(0.0, p)
+    fluctuation = g**2 * (obs.mean_n - abs(obs.alpha) ** 2) / 1000.0
+    share = fluctuation / probe_stark_shift(0.0, 1000.0, p, obs.alpha)
+    assert share == pytest.approx(0.5072, abs=1e-4)
 
 
 def test_numeric_probe_peaks_at_coupling():
