@@ -645,8 +645,6 @@ def _fmt_cell(v) -> str:
         return v
     if isinstance(v, (bool, int, np.integer)):
         return str(int(v))
-    if v is None:
-        return "nan"
     return _fmt_float(v)
 
 

@@ -20,17 +20,17 @@ from .model import (
     K_WAVENUMBER,
     RegimeWarning,
     SystemParams,
+    _off_node,
     mode_function,
     saturation,
 )
+from .operators import _require_finite, _require_integer
 
 
 @dataclass(frozen=True)
 class EffectiveFieldParams:
     """Coefficients of the field master equation after eliminating the atoms."""
 
-    s_n: tuple[float, ...]
-    s_mean: float
     gamma_prime: float
     delta_prime: float
     xi: complex
@@ -45,6 +45,7 @@ class PatternSpec:
     parity: int = 0  # 0 -> even pattern (cos kx = +1), 1 -> odd
 
     def __post_init__(self):
+        _require_integer(n_atoms=self.n_atoms)
         if self.n_atoms < 1:
             raise ValueError("pattern needs at least one atom")
         if self.parity not in (0, 1):
@@ -65,16 +66,14 @@ def _saturation_ok(params: SystemParams) -> bool:
 def effective_field_params(params: SystemParams) -> EffectiveFieldParams:
     """Adiabatic-elimination coefficients for an arbitrary set of positions."""
     g, phi_n = mode_function(np.asarray(params.positions), params)
-    s_n = saturation(g, params)
-    s = float(np.mean(s_n))
+    g = _off_node(g, params)
+    s = float(np.mean(saturation(g, params)))
     gsq = float(np.sum(g ** 2))
     if gsq == 0:
         raise ValueError("all atoms sit at nodes; the medium does not couple")
     drive = params.omega * np.sum(g * np.exp(1j * phi_n))
     r = _response(params.n_atoms * s, params)
     return EffectiveFieldParams(
-        s_n=tuple(float(v) for v in s_n),
-        s_mean=s,
         gamma_prime=2 * r.real,
         delta_prime=params.delta_c - r.imag,
         xi=complex(-1j * r * drive / gsq),
@@ -144,25 +143,6 @@ def critical_atom_number(params: SystemParams) -> float:
     return params.kappa / (s * math.hypot(params.gamma, params.delta))
 
 
-@dataclass(frozen=True)
-class ForceCoefficients:
-    """Semiclassical light forces on atom n along the cavity axis."""
-
-    u0: float          # cavity light shift saturation(g0) Delta
-    gamma0: float      # dissipation rate saturation(g0) gamma/2
-    eta_eff: complex   # pump-mediated drive Omega g0 / (-i Delta + gamma/2)
-
-
-def force_coefficients(params: SystemParams) -> ForceCoefficients:
-    r = _response(saturation(params.g0, params), params)
-    return ForceCoefficients(
-        u0=r.imag,
-        gamma0=r.real,
-        eta_eff=params.omega * params.g0 / (-1j * params.delta
-                                            + params.gamma / 2),
-    )
-
-
 def _sin_turns(u: float) -> float:
     """sin(2 pi u), exactly zero at the half-integer turns."""
     if 2.0 * u == round(2.0 * u):
@@ -176,13 +156,17 @@ def semiclassical_force(x_n: float, alpha: complex,
 
     F = k U0 |alpha|^2 sin(2 k x) + 2 k Im{eta_eff* alpha} sin(k x)
 
-    It vanishes identically at the antinodes kx = 0, pi, which are the
-    candidate equilibrium sites of the self-organized patterns.
+    with the light shift U0 = saturation(g0) Delta and the pump-mediated
+    drive eta_eff = Omega g0 / (gamma/2 - i Delta).  F vanishes at the
+    antinodes kx = 0, pi, the candidate equilibrium sites of the
+    self-organized patterns; a non-finite x_n or alpha is a ValueError.
     """
-    c = force_coefficients(params)
+    _require_finite(x_n=x_n, alpha=alpha)
+    u0 = _response(saturation(params.g0, params), params).imag
+    eta_eff = params.omega * params.g0 / (-1j * params.delta + params.gamma / 2)
     k = K_WAVENUMBER
-    return k * c.u0 * abs(alpha) ** 2 * _sin_turns(2.0 * x_n) \
-        + 2 * k * (np.conj(c.eta_eff) * alpha).imag * _sin_turns(x_n)
+    return k * u0 * abs(alpha) ** 2 * _sin_turns(2.0 * x_n) \
+        + 2 * k * (np.conj(eta_eff) * alpha).imag * _sin_turns(x_n)
 
 
 def restoring_coefficient(pattern: PatternSpec, params: SystemParams) -> float:

@@ -19,6 +19,7 @@ import scipy.sparse.linalg as spla
 from .model import (
     SystemParams,
     Superoperator,
+    _check_atom_count,
     build_liouvillian,
     build_space,
     term_plan,
@@ -26,6 +27,7 @@ from .model import (
 from .operators import (
     DensityMatrix,
     SpaceDescriptor,
+    _check_same_space,
     basis_state,
     fock_populations,
 )
@@ -333,10 +335,11 @@ def evolve(rho0: DensityMatrix, l: Superoperator,
     _expm_action), exact to double precision: there is no adaptive stepper
     and no tolerance, and the bytes of the result depend on the inputs
     alone.  A result whose trace is more than 1e-9 from 1 is a
-    RuntimeError.
+    RuntimeError, and rho0 and l on different spaces a SpaceMismatchError.
     """
     if not 0 <= t_final < math.inf:
         raise ValueError(f"t_final must be finite and >= 0, got {t_final!r}")
+    _check_same_space(rho0.space, l.space)
     if t_final == 0:
         return rho0
     v = _expm_action(l.matrix, rho0.entries.reshape(-1).astype(complex),
@@ -388,6 +391,7 @@ def _expm_action(a: sp.csr_matrix, v: np.ndarray, t: float) -> np.ndarray:
 
 
 def observables(rho: DensityMatrix, params: SystemParams) -> ObservableSet:
+    _check_atom_count(params, rho.space)
     plan = term_plan(rho.space)
     # Tr(op rho) is the sum of op[i, j] rho[j, i] over op's entries
     at_terms = rho.entries[plan.h_cols, plan.h_rows]

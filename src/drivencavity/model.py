@@ -18,6 +18,7 @@ from .operators import (
     Operator,
     SpaceDescriptor,
     SpaceMismatchError,
+    _require_finite,
     annihilation,
     atomic_lowering,
 )
@@ -55,14 +56,7 @@ class SystemParams:
 
     def __post_init__(self):
         object.__setattr__(self, "positions", tuple(float(x) for x in self.positions))
-        for name in ("positions", "g0", "omega", "kappa", "delta", "delta_c",
-                     "theta", "gamma", "omega_n"):
-            value = getattr(self, name)
-            if value is None:  # omega_n unset
-                continue
-            entries = value if name in ("positions", "omega_n") else (value,)
-            if not all(map(math.isfinite, entries)):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        _require_finite(**{k: v for k, v in vars(self).items() if v is not None})
         if self.n_atoms < 1:
             raise ValueError("at least one atom is required")
         if self.kappa < 0:
@@ -104,16 +98,15 @@ def mode_function(x, params: SystemParams):
             K_WAVENUMBER * x * math.cos(params.theta))
 
 
-def _off_node(g, params: SystemParams) -> float:
-    """g as a float, or 0.0 at a node of the mode function, where
-    |g| < 1e-12 max(|g0|, 1)."""
-    return 0.0 if abs(g) < 1e-12 * max(abs(params.g0), 1.0) else float(g)
+def _off_node(g, params: SystemParams):
+    """g, or 0.0 at a node, where |g| < 1e-12 max(|g0|, 1); elementwise."""
+    return np.where(np.abs(g) < 1e-12 * max(abs(params.g0), 1.0), 0.0, g)
 
 
 def atom_coupling(params: SystemParams) -> float:
     """The coupling g(x) of the first atom, the one atom of the one-atom
     closed forms; 0.0 at a node."""
-    return _off_node(mode_function(params.positions[0], params)[0], params)
+    return float(_off_node(mode_function(params.positions[0], params)[0], params))
 
 
 def saturation(g, params: SystemParams):
@@ -256,11 +249,15 @@ def term_plan(space: SpaceDescriptor) -> TermPlan:
     return plan
 
 
+def _check_atom_count(params: SystemParams, space: SpaceDescriptor) -> None:
+    if space.n_atoms != params.n_atoms:
+        raise SpaceMismatchError("space atom count does not match params")
+
+
 def _hamiltonian_coefficients(params: SystemParams,
                               space: SpaceDescriptor) -> np.ndarray:
     """The coefficient of each term of term_plan(space) in H."""
-    if space.n_atoms != params.n_atoms:
-        raise SpaceMismatchError("space atom count does not match params")
+    _check_atom_count(params, space)
     g_n, phi_n = mode_function(np.asarray(params.positions), params)
     drive = params.pump_amplitudes * np.exp(1j * phi_n)
     coefficients = [-params.delta_c]
@@ -307,6 +304,7 @@ def beta_profile(x: float, params: SystemParams) -> complex:
 
     Undefined at nodes of the mode function.
     """
+    _require_finite(x=x)
     g, phi = mode_function(x, params)
     g = _off_node(g, params)
     if g == 0:

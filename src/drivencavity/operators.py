@@ -8,7 +8,7 @@ single cavity mode truncated at Fock level n_max.  Atoms occupy slots
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +23,21 @@ class TruncationError(ValueError):
     """Requested state cannot be represented safely at this Fock truncation."""
 
 
+def _require_finite(**values) -> None:
+    """ValueError naming the first of values (numbers or sequences) not finite."""
+    for name, value in values.items():
+        entries = (value,) if np.isscalar(value) else value
+        if not all(map(cmath.isfinite, entries)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _require_integer(**values) -> None:
+    """ValueError naming the first of values that is no integer, or a bool."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SpaceDescriptor:
     """Composite space of n_atoms two-level atoms and one truncated mode."""
@@ -31,6 +46,7 @@ class SpaceDescriptor:
     n_max: int
 
     def __post_init__(self):
+        _require_integer(n_atoms=self.n_atoms, n_max=self.n_max)
         if self.n_atoms < 0:
             raise ValueError("n_atoms must be nonnegative")
         if self.n_max < 0:
@@ -146,6 +162,7 @@ def displacement(space: SpaceDescriptor, beta: complex) -> Operator:
     Rejected when |beta|^2 > n_max/4 so that the displaced vacuum keeps
     negligible weight on the discarded levels.
     """
+    _require_finite(beta=beta)
     if abs(beta) ** 2 > space.n_max / 4:
         raise TruncationError(
             f"|beta|^2 = {abs(beta)**2:.3g} exceeds n_max/4 = {space.n_max / 4:.3g}")

@@ -10,7 +10,7 @@ eigensystem of H0 checks its spectrum against the dressed eigenvalues.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -21,13 +21,14 @@ from .model import (
     SystemParams,
     atom_coupling,
     beta_profile,
+    build_liouvillian,
     build_space,
-    term_plan,
 )
 from .operators import (
     DensityMatrix,
     Operator,
     SpaceDescriptor,
+    _require_integer,
     annihilation,
     atomic_lowering,
     basis_state,
@@ -48,15 +49,15 @@ def displaced_effective_hamiltonian(params: SystemParams,
     """(H0, V) with the displaced effective Hamiltonian equal to H0 + kappa V.
 
     Only defined for one atom with delta_c = 0, off a node of the mode
-    function.  V is dense: the term plan that sums H0 has no a term.
+    function.  H0 is h_eff of the undriven, lossless system; V is dense.
     """
     if params.n_atoms != 1:
         raise ValueError("displaced effective Hamiltonian requires exactly one atom")
     if params.delta_c != 0:
         raise ValueError("displaced effective Hamiltonian requires delta_c = 0")
     beta = beta_profile(params.positions[0], params)
-    h0 = term_plan(space).dense(np.array(
-        [0, -(params.delta + 0.5j * params.gamma), atom_coupling(params), 0, 0]))
+    h0 = build_liouvillian(
+        replace(params, omega=0.0, omega_n=None, kappa=0.0), space).h_eff
     a_disp = annihilation(space).entries + beta * np.eye(space.dim)
     v = -0.5j * (a_disp.conj().T @ a_disp)
     return Operator(space, h0), Operator(space, v)
@@ -68,6 +69,7 @@ def dressed_eigenvalues(n: int, params: SystemParams) -> tuple[complex, complex]
     '+' is the root with the larger real part at delta = 0, followed by
     continuity as delta moves to its actual value.
     """
+    _require_integer(n=n)
     if n < 1:
         raise ValueError("excitation number must be >= 1")
     g = abs(atom_coupling(params))
@@ -144,6 +146,8 @@ def perturbative_state(params: SystemParams, t: float, order: int = 2,
     block-triangular generator (C. F. Van Loan, IEEE TAC 23, 395, 1978):
     closed form, no quadrature, and defined at exceptional points of H0.
     """
+    if not 0 <= t < np.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
     space = build_space(params, n_max)
@@ -206,7 +210,7 @@ def small_kappa_rates(params: SystemParams) -> SmallKappaRates:
     """Closed-form leading-order scattering rates at Delta = 0, g >> gamma.
 
     I_at = kappa (Omega/g)^2 / (2 C1), I_cav = kappa (Omega/g)^2 (1 - 1/(2 C1)),
-    with cooperativity C1 = 2 g^2 / (gamma kappa).
+    with cooperativity C1 = 2 g^2 / (gamma kappa), inf at kappa = 0.
     """
     gbar = abs(atom_coupling(params))
     if gbar == 0:
@@ -214,7 +218,7 @@ def small_kappa_rates(params: SystemParams) -> SmallKappaRates:
     if params.delta != 0 or gbar < 5 * params.gamma:
         warnings.warn("small-kappa rates are derived for Delta=0 and g >> gamma",
                       RegimeWarning, stacklevel=2)
-    c1 = 2 * gbar**2 / (params.gamma * params.kappa)
+    c1 = 2 * gbar**2 / (params.gamma * params.kappa) if params.kappa else np.inf
     drive = params.kappa * params.omega**2 / gbar**2
     return SmallKappaRates(i_at=drive / (2 * c1), i_cav=drive * (1 - 1 / (2 * c1)),
                            c1=c1)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 import threading
 import warnings
@@ -21,6 +20,7 @@ from .model import (
     term_plan,
 )
 from .dynamics import solve_steady
+from .operators import _require_finite
 
 
 class SpectrumDomainError(ValueError):
@@ -51,13 +51,6 @@ class ResonancePair:
     gamma_plus: float
     gamma_minus: float
     regime_valid: bool
-
-
-def _require_finite(**values: complex) -> None:
-    """ValueError naming the first of values that is nan or infinite."""
-    for name, value in values.items():
-        if not cmath.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _coupled_gbar(params: SystemParams) -> float:

@@ -965,6 +965,22 @@ def test_csv_uses_17_significant_digits(tmp_path):
                for cell in row)
 
 
+def test_evolve_at_zero_time_writes_the_ground_state_row(tmp_path):
+    out = tmp_path / "o.csv"
+    cfg_path = _write_cfg(tmp_path, {
+        "mode": "evolve", "params": BASE_PARAMS, "n_max": 3,
+        "evolve": {"t_final": 0},
+        "output": {"path": str(out), "format": "csv"}})
+    assert main(["run", cfg_path]) == EXIT_OK
+    header, row = out.read_text().splitlines()
+    values = dict(zip(header.split(","), row.split(",")))
+    # no atom excited and no photon: g2 is undefined and nothing is solved
+    for name in ("i_at", "i_cav", "mean_n", "re_alpha", "im_alpha"):
+        assert float(values[name]) == 0.0, name
+    assert (values["g2"], values["n_max"], values["residual"],
+            values["ok"]) == ("nan", "3", "nan", "1")
+
+
 def test_solver_failure_exit_code(tmp_path):
     # n_max pinned far below the coherent amplitude: every point fails
     cfg_path = _write_cfg(tmp_path, {

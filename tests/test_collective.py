@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from drivencavity.collective import (
     effective_field_params,
     emission_rates,
     excited_population,
-    force_coefficients,
     in_phase_alpha,
     restoring_coefficient,
     semiclassical_force,
@@ -23,9 +24,25 @@ def _params(n=1, **kw):
 
 
 def test_saturation_parameter_value():
-    eff = effective_field_params(_params())
-    assert eff.s_n[0] == pytest.approx(0.04)
-    assert eff.s_mean == pytest.approx(0.04)
+    p = _params()
+    assert saturation(p.g0, p) == pytest.approx(0.04)
+    # gamma' = 2 Re R = s gamma for one atom
+    assert effective_field_params(p).gamma_prime == pytest.approx(0.04)
+
+
+def test_atoms_at_nodes_do_not_couple():
+    # g(x) at x = 0.25 and 0.75 is 6e-18, not 0: the medium's response came
+    # out as gamma' ~ 3e-34 and alpha ~ 4e-17 instead of an error
+    p = _params(n=2, kappa=0.1, delta=1.0, theta=1.0)
+    at_nodes = replace(p, positions=(0.25, 0.75))
+    for closed_form in (effective_field_params, adiabatic_alpha):
+        with pytest.raises(ValueError, match="all atoms sit at nodes"):
+            closed_form(at_nodes)
+    # and a node atom next to a coupled one adds nothing, to the bit
+    one = effective_field_params(replace(p, positions=(0.0,)))
+    two = effective_field_params(replace(p, positions=(0.0, 0.25)))
+    assert (two.gamma_prime, two.delta_prime, two.xi) \
+        == (one.gamma_prime, one.delta_prime, one.xi)
 
 
 def test_detuning_shift_vanishes_on_resonance():
@@ -54,8 +71,7 @@ def test_adiabatic_alpha_matches_exact():
 def test_alpha_peaks_at_stark_shifted_resonance():
     n = 1
     p0 = _params(delta=1.0)
-    eff = effective_field_params(p0)
-    dc_star = n * eff.s_mean * p0.delta
+    dc_star = n * saturation(p0.g0, p0) * p0.delta
     grid = np.linspace(-0.05, 0.05, 501)
     mags = [abs(adiabatic_alpha(_params(delta=1.0, delta_c=float(dc))))
             for dc in grid]
@@ -157,10 +173,14 @@ def test_force_vanishes_at_antinodes():
 
 
 def test_force_dispersive_term_vanishes_on_resonance():
+    # at kx = pi/4 both terms are at full strength, so the force equals the
+    # pump term alone only if U0 = 0
     p = _params(delta=0.0)
-    c = force_coefficients(p)
-    assert c.u0 == 0.0
-    assert c.gamma0 == pytest.approx(p.g0**2 * 0.5 / 0.25)
+    alpha = -0.7 + 0.2j
+    eta = p.omega * p.g0 / (p.gamma / 2)
+    pump = 2 * 2 * np.pi * (np.conj(eta) * alpha).imag * np.sin(np.pi / 4)
+    assert semiclassical_force(0.125, alpha, p) == pytest.approx(pump,
+                                                                 rel=1e-12)
 
 
 def test_force_sign_at_quarter_wavelength():

@@ -33,6 +33,7 @@ from drivencavity.model import (
 )
 from drivencavity.operators import (
     DensityMatrix,
+    SpaceMismatchError,
     annihilation,
     atomic_lowering,
     basis_state,
@@ -476,6 +477,34 @@ def test_evolve_refuses_a_negative_or_non_finite_time(t_final):
     space = build_space(p, n_max=2)
     with pytest.raises(ValueError, match="t_final"):
         evolve(ground_state(space), build_liouvillian(p, space), t_final)
+
+
+def test_evolve_at_zero_time_returns_the_state():
+    p = _params()
+    space = build_space(p, n_max=2)
+    rho0 = DensityMatrix.pure(space, coherent_state(space, 0.4, atoms="g"))
+    assert evolve(rho0, build_liouvillian(p, space), 0.0) is rho0
+
+
+@pytest.mark.parametrize("t_final", [0.0, 1.0])
+def test_evolve_refuses_a_state_on_another_space(t_final):
+    # once "matmul: dimension mismatch" from inside scipy
+    p = _params()
+    l = build_liouvillian(p, build_space(p, n_max=3))
+    with pytest.raises(SpaceMismatchError):
+        evolve(ground_state(build_space(p, n_max=2)), l, t_final)
+
+
+@pytest.mark.parametrize("state_atoms, params_atoms", [(1, 2), (2, 1)])
+def test_observables_refuse_params_of_another_atom_count(state_atoms,
+                                                         params_atoms):
+    # once numbers, read off the wrong atoms' terms
+    p = _params(positions=(0.0, 0.1)[:params_atoms])
+    rho = ground_state(build_space(_params(positions=(0.0, 0.1)[:state_atoms]),
+                                   n_max=2))
+    with pytest.raises(SpaceMismatchError,
+                       match="space atom count does not match params"):
+        observables(rho, p)
 
 
 def test_free_cavity_decay_exponential():

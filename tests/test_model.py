@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from drivencavity.collective import PatternSpec, semiclassical_force
+from drivencavity.dynamics import solve_steady
 from drivencavity.model import (
     NodePositionError,
     SystemParams,
@@ -18,13 +20,16 @@ from drivencavity.model import (
     term_plan,
 )
 from drivencavity.operators import (
+    SpaceDescriptor,
     annihilation,
     atomic_lowering,
     basis_state,
     coherent_state,
+    displacement,
 )
 from drivencavity.perturbative import (
     displaced_effective_hamiltonian,
+    dressed_eigenvalues,
     perturbative_state,
     small_kappa_rates,
 )
@@ -299,3 +304,58 @@ def test_non_finite_parameter_is_rejected(field, value):
     kw[field] = value
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         SystemParams(**kw)
+
+
+_NAN, _INF = math.nan, math.inf
+_ONE_ATOM = dict(positions=(0.0,), g0=10.0, omega=1.0, kappa=1e-3)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: perturbative_state(SystemParams(**_ONE_ATOM), t=_NAN), "t"),
+    (lambda: perturbative_state(SystemParams(**_ONE_ATOM), t=_INF), "t"),
+    (lambda: perturbative_state(SystemParams(**_ONE_ATOM), t=-1.0), "t"),
+    (lambda: beta_profile(_NAN, SystemParams(**_ONE_ATOM)), "x"),
+    (lambda: displacement(SpaceDescriptor(1, 8), _NAN), "beta"),
+    (lambda: coherent_state(SpaceDescriptor(1, 8), complex(0.0, _INF)),
+     "beta"),
+    (lambda: semiclassical_force(0.1, _NAN, SystemParams(**_ONE_ATOM)),
+     "alpha"),
+    (lambda: semiclassical_force(_NAN, 0.5, SystemParams(**_ONE_ATOM)),
+     "x_n"),
+    (lambda: semiclassical_force(-_INF, 0.5, SystemParams(**_ONE_ATOM)),
+     "x_n"),
+], ids=["perturbative-t-nan", "perturbative-t-inf", "perturbative-t-negative",
+        "beta-x-nan", "displacement-nan", "coherent-inf", "force-alpha-nan",
+        "force-x-nan", "force-x-inf"])
+def test_entry_points_refuse_a_non_finite_input(call, name):
+    # each once returned nan, or at t < 0 a state that evolve refuses; a nan
+    # x_n failed with "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: SpaceDescriptor(1, 2.5), "n_max"),
+    (lambda: SpaceDescriptor(1, _NAN), "n_max"),
+    (lambda: SpaceDescriptor(1.0, 2), "n_atoms"),
+    (lambda: SpaceDescriptor(True, 2), "n_atoms"),
+    (lambda: solve_steady(SystemParams(**_ONE_ATOM), n_max=2.5), "n_max"),
+    (lambda: PatternSpec(_NAN), "n_atoms"),
+    (lambda: PatternSpec(2.5), "n_atoms"),
+    (lambda: dressed_eigenvalues(_NAN, SystemParams(**_ONE_ATOM)), "n"),
+    (lambda: dressed_eigenvalues(2.0, SystemParams(**_ONE_ATOM)), "n"),
+], ids=["space-n_max-half", "space-n_max-nan", "space-n_atoms-float",
+        "space-n_atoms-bool", "solve-n_max-half", "pattern-nan",
+        "pattern-half", "dressed-nan", "dressed-float"])
+def test_sizes_must_be_integers(call, name):
+    # each was once accepted, with a nan or a fractional dimension
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call()
+
+
+def test_numpy_integers_are_sizes():
+    space = SpaceDescriptor(np.int64(2), np.int32(3))
+    assert space.dim == 16 and space == SpaceDescriptor(2, 3)
+    assert PatternSpec(np.int64(3)).n_atoms == 3
+    p = SystemParams(**_ONE_ATOM)
+    assert dressed_eigenvalues(np.int64(2), p) == dressed_eigenvalues(2, p)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,11 @@ def test_small_kappa_rate_values():
     # algebraic identity of the two rates
     assert r.i_at + r.i_cav == pytest.approx(
         p.kappa * p.omega**2 / p.g0**2, rel=1e-12)
+
+
+def test_small_kappa_rates_at_zero_kappa_are_the_limit():
+    # once a ZeroDivisionError
+    assert small_kappa_rates(_params(kappa=0.0)) == (0.0, 0.0, math.inf)
 
 
 def test_small_kappa_rates_match_exact():
