@@ -24,10 +24,13 @@ class TruncationError(ValueError):
 
 
 def _require_finite(**values) -> None:
-    """ValueError naming the first of values (numbers or sequences) not finite."""
+    """ValueError naming the first of values (numbers, or tuples, lists or
+    arrays of numbers) not finite.  A number takes one isfinite call and no
+    wrapping: SystemParams checks nine values on every construction."""
     for name, value in values.items():
-        entries = (value,) if np.isscalar(value) else value
-        if not all(map(cmath.isfinite, entries)):
+        if not (all(map(cmath.isfinite, value))
+                if isinstance(value, (tuple, list, np.ndarray))
+                else cmath.isfinite(value)):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
