@@ -99,6 +99,8 @@ def in_phase_alpha(pattern: PatternSpec, params: SystemParams) -> complex:
     (see the module docstring).  For kappa = 0 and delta_c = 0 this
     reduces to -Omega/g independent of N and Delta.
     """
+    if params.g0 == 0:
+        raise ValueError("g0 must be nonzero")
     gbar = params.g0 if pattern.parity == 0 else -params.g0
     r = _response(pattern.n_atoms * saturation(gbar, params), params)
     return -(params.omega / gbar) * r / (

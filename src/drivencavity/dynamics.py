@@ -99,9 +99,9 @@ def steady_state(l: Superoperator) -> DensityMatrix:
     gives a matrix m with m vec(rho) = e_0.  With one atom, m is built and
     solved by sparse LU; with more, m is never built: GMRES, preconditioned
     with the inverse of rho -> -i(h_eff rho - rho h_eff^dag), applies m as
-    L with its entry 0 replaced by the trace, to relative residual 1e-8,
-    and refines once: GMRES solves m d = e_0 - m x to 1e-8 of its
-    right-hand side and x += d.  (Adding 1 tr(rho) to every diagonal
+    L with its entry 0 replaced by the trace, to relative residual 1e-8.
+    First pass by the route's solve, then one refinement by the same solve:
+    m d = e_0 - m x, and x += d.  (Adding 1 tr(rho) to every diagonal
     equation instead of the trace row would put rounding noise on all of
     them, which near-dark states cannot afford.)
 
@@ -117,8 +117,8 @@ def steady_state(l: Superoperator) -> DensityMatrix:
     DegenerateSteadyStateError before either.  A state whose residual
     |L rho| exceeds 1e-9 dim, or a GMRES solve that does not converge, is a
     SteadyStateError.  In that order: the factorization, the certificate,
-    the first pass (LU, or GMRES to 1e-8), then the refinement and the
-    residual check (see _TraceRowSystem).
+    the first pass, then the refinement and the residual check (see
+    _TraceRowSystem).
     """
     system = _TraceRowSystem(l)
     system.condition()
@@ -134,19 +134,18 @@ class _TraceRowSystem:
     preconditioner with more.  The condition estimate and the solve both
     use that path's solve, in either order.  The solve comes in two steps,
     so that a caller can read the state after the first and skip the
-    second: first_pass solves m x = e_0 by LU, or by GMRES to relative
-    residual 1e-8; finish refines that x once by GMRES (after LU, x is
-    final), and returns the unit-trace Hermitian state with its residual
-    check.
+    second: first pass by the route's solve, then one refinement by the
+    same solve in finish, which returns the unit-trace Hermitian state with
+    its residual check.
 
     A system holds only what its solves and checks read: L's CSR matrix,
     the space and the decay rates -2 Im diag(h_eff), and no copy of L.  It
     keeps no Superoperator.  The LU path builds m only to factor it, as
     the CSC matrix m^T that m's CSR arrays are, and solves with
-    trans="T"; the GMRES path applies m v as L v with entry 0 replaced by
-    the sum of v's diagonal entries, the trace.  Both take the trace row
-    from _trace_columns.  At the largest truncations L alone takes tens of
-    MB, so a copy next to it would double a solve's memory.
+    trans="T".  Both paths apply m v as L v with entry 0 replaced by the
+    sum of v's diagonal entries, the trace (_trace_columns).  At the
+    largest truncations L alone takes tens of MB, so a copy next to it
+    would double a solve's memory.
 
     Why kappa > 0 and gamma > 0 make the steady state unique on every
     truncation (Spohn, Rev. Mod. Phys. 52, 569 (1980); Baumgartner and
@@ -170,28 +169,27 @@ class _TraceRowSystem:
         self.space, dim = l.space, l.space.dim
         self.lmat = lmat = l.matrix
         self._decay = -2 * np.diag(l.h_eff).imag
-        self._e0 = e0 = np.eye(1, lmat.shape[0], dtype=complex)[0]
+        self._e0 = np.eye(1, lmat.shape[0], dtype=complex)[0]
         # closures over locals, not self: a cycle through self would hold L
         # and the factors or preconditioner until the cyclic collector runs
+        diagonal = _trace_columns(lmat, dim)
+
+        def matvec(v):
+            mv = lmat @ v
+            mv[0] = v[diagonal].sum()
+            return mv
+
+        self._matvec = matvec
         if l.space.n_atoms < 2:
             try:
                 lu = spla.splu(_trace_row_matrix(lmat, dim).T)
             except RuntimeError:
                 raise DegenerateSteadyStateError(math.inf) from None
             self._solve = lambda rhs: lu.solve(rhs, trans="T")
-            self._refine = lambda x: x
         else:
-            diagonal = _trace_columns(lmat, dim)
-
-            def matvec(v):
-                mv = lmat @ v
-                mv[0] = v[diagonal].sum()
-                return mv
-
             m = spla.LinearOperator(lmat.shape, matvec, dtype=lmat.dtype)
             precondition = _no_jump_inverse(l.h_eff)
-            self._solve = solve = lambda rhs: _gmres(m, rhs, precondition)
-            self._refine = lambda x: x + solve(e0 - matvec(x))
+            self._solve = lambda rhs: _gmres(m, rhs, precondition)
 
     @functools.cached_property
     def norm1(self) -> float:
@@ -252,10 +250,10 @@ class _TraceRowSystem:
         return DensityMatrix(self.space, rho)
 
     def finish(self, x: np.ndarray) -> tuple[DensityMatrix, float]:
-        """The state of first_pass's x, refined once on the GMRES path, and
+        """The state of first_pass's x refined once by the same solve, and
         its residual |L rho|, or SteadyStateError when the residual exceeds
         1e-9 dim."""
-        rho = self.state(self._refine(x))
+        rho = self.state(x + self._solve(self._e0 - self._matvec(x)))
         dim = self.space.dim
         residual = float(np.linalg.norm(self.lmat @ rho.entries.reshape(-1)))
         if residual > 1e-9 * dim:

@@ -229,6 +229,17 @@ def test_emission_rates_consistent():
         100 * p.gamma * excited_population(pat, p))
 
 
+@pytest.mark.parametrize("closed_form", [
+    in_phase_alpha, emission_rates, critical_atom_number,
+    restoring_coefficient])
+def test_closed_forms_refuse_a_zero_coupling(closed_form):
+    # each divides by g0; a bare ZeroDivisionError named nothing
+    p = _params(g0=0.0, kappa=0.1)
+    args = (p,) if closed_form is critical_atom_number else (PatternSpec(1), p)
+    with pytest.raises(ValueError, match="g0 must be nonzero"):
+        closed_form(*args)
+
+
 def test_saturated_regime_warns():
     p = SystemParams(positions=(0.0,), g0=1.0, omega=1.0, kappa=0.1)
     with pytest.warns(RegimeWarning):

@@ -351,17 +351,79 @@ def test_slow_system_is_certified_by_its_own_paths_solve():
 
 
 def test_residual_contract_refuses_a_perturbed_state():
-    # one atom, so finish does not refine the perturbation away
-    p = _params(kappa=0.5)
-    l = build_liouvillian(p, build_space(p, n_max=6))
-    system = dynamics._TraceRowSystem(l)
-    x = system.first_pass()
-    rho, residual = system.finish(x)
-    # the residual column's bits: L rho from L itself
-    assert residual == float(np.linalg.norm(l.matrix @ rho.entries.reshape(-1)))
-    x = x + 1e-6 * np.random.default_rng(3).standard_normal(x.shape)
-    with pytest.raises(SteadyStateError, match="residual"):
-        system.finish(x)
+    # finish refines a perturbed first pass back, so the perturbation goes
+    # into the solve itself, on both routes: one atom (LU) and two (GMRES)
+    for positions in (0.0,), (0.0, 0.37):
+        p = _params(positions=positions, kappa=0.5)
+        l = build_liouvillian(p, build_space(p, n_max=6))
+        system = dynamics._TraceRowSystem(l)
+        x = system.first_pass()
+        rho, residual = system.finish(x)
+        # the residual column's bits: L rho from L itself
+        assert residual == float(
+            np.linalg.norm(l.matrix @ rho.entries.reshape(-1)))
+        solve, noise = system._solve, np.random.default_rng(3)
+        system._solve = lambda rhs: (
+            solve(rhs) + 1e-6 * noise.standard_normal(rhs.shape))
+        with pytest.raises(SteadyStateError, match="residual"):
+            system.finish(x)
+
+
+# A near-dark atom: the cavity field nearly cancels the pump on it.  An
+# unrefined LU solve of it reads g2 = 11 574 at Omega = 0.00238 (true
+# 3.754178) and a negative mean_n at Omega = 1e-7.
+_NEAR_DARK = dict(positions=(0.5388,), g0=0.2141, kappa=2.0, delta=8.355,
+                  delta_c=-4.309)
+
+
+def _weak_drive_system(seed, n_atoms):
+    rng = np.random.default_rng(seed)
+    return dict(
+        positions=tuple(rng.uniform(0, 1, n_atoms)),
+        g0=10 ** rng.uniform(-1, 1), kappa=10 ** rng.uniform(-2, math.log10(5)),
+        delta=rng.uniform(-10, 10), delta_c=rng.uniform(-10, 10),
+        theta=rng.uniform(0, math.pi))
+
+
+# As Omega -> 0, r = mean_n / Omega^2 and pi_e / Omega^2 tend to constants,
+# and r moves by O(Omega^2) relative from one Omega to the next.  On the
+# near-dark atom and 36 seeded systems (N = 1-3, 12 seeds each, the first
+# three of which are tested) the move between neighbouring half decades was
+# at most 45 Omega^2 |r| until the solves' absolute floor, which on
+# populations of 1e-23 to 1e-16 was at most 1.1e-24 for GMRES (N = 2,
+# Omega = 1.15e-9) and 4e-31 for LU.
+_SCALING_C, _POPULATION_FLOOR = 100.0, 1e-22
+
+
+@pytest.mark.parametrize("seed, n_atoms", [(None, 1)] + [
+    (100 * n + s, n) for n in (1, 2, 3) for s in range(3)],
+    ids=["lu-near-dark"] + [f"{'lu-1atom' if n == 1 else f'gmres-{n}atoms'}"
+                            f"-seed{s}" for n in (1, 2, 3) for s in range(3)])
+def test_weak_drive_populations_scale_as_omega_squared(seed, n_atoms):
+    if seed is None:
+        # the near-dark atom at its default n_max, Omega = 10^-1.5 ... 10^-7
+        system, n_max = _NEAR_DARK, None
+        omegas = 10.0 ** -np.arange(1.5, 7.01, 0.5)
+    else:
+        system, n_max = _weak_drive_system(seed, n_atoms), 4
+        omegas = system["g0"] * 10.0 ** -np.arange(2, 8.01, 0.5)
+    populations, g2 = [], []
+    for omega in omegas:
+        p = SystemParams(omega=omega, **system)
+        obs = observables(solve_steady(p, n_max).rho, p)
+        populations.append((obs.mean_n, obs.pi_e_per_atom.sum()))
+        g2.append(obs.g2_zero)
+    populations = np.array(populations)
+    assert (populations > 0).all()
+    r = populations / omegas[:, None] ** 2
+    bound = np.maximum(_SCALING_C * omegas[:-1, None] ** 2 * r[:-1],
+                       _POPULATION_FLOOR / omegas[1:, None] ** 2)
+    assert (np.abs(np.diff(r, axis=0)) <= bound).all()
+    assert all(g >= 0 for g in g2 if g is not None)
+    if seed is None:
+        # a dense LU solve refined three times reads 3.7541760519 at n_max
+        # 11, 16 and 24; one refinement is 2.7e-10 off at the default 11
+        assert g2[3] == pytest.approx(3.7541760519, rel=2e-9)
 
 
 def _reachable_sparse(root, shape):
@@ -669,14 +731,23 @@ def test_discarded_escalation_step_is_solved_once(x2, dims, monkeypatch):
     assert seen == dims
 
 
-@pytest.mark.parametrize("x2", [100 / 201, 110 / 201],
-                         ids=["100/201", "110/201"])
-@pytest.mark.parametrize("n_max", [11, 17, 26])
-def test_refinement_moves_the_fock_tail_far_less_than_its_limit(x2, n_max):
+_TAIL_CASES = {
+    "100/201": dict(positions=(0.0, 100 / 201), **_FIG7),
+    "110/201": dict(positions=(0.0, 110 / 201), **_FIG7),
+    "1atom-omega3": dict(g0=1.0, omega=3.0, kappa=0.1),
+    "1atom-g0.3": dict(g0=0.3, omega=1.0, kappa=0.1),
+}
+
+
+@pytest.mark.parametrize("n_max, case", [
+    (n_max, case) for n_max in (11, 17, 26, 37) for case in _TAIL_CASES
+    if n_max < 37 or case.startswith("1atom")], ids=str)
+def test_refinement_moves_the_fock_tail_far_less_than_its_limit(n_max, case):
     # solve_steady discards a step on its first-pass tail; the refinement
     # moved that tail by at most 1.25e-9 on the fig7 lambda/2 band (x2 =
-    # 95, 100, 105 and 110/201, n_max 11 to 39)
-    p = _params(positions=(0.0, x2), **_FIG7)
+    # 95, 100, 105 and 110/201, n_max 11 to 39, GMRES), and by at most
+    # 1.9e-16 on the strongly driven atoms here (LU)
+    p = _params(**_TAIL_CASES[case])
     with dynamics._one_blas_thread():
         system = dynamics._TraceRowSystem(
             build_liouvillian(p, build_space(p, n_max)))
