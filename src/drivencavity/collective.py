@@ -99,34 +99,49 @@ def in_phase_alpha(pattern: PatternSpec, params: SystemParams) -> complex:
     (see the module docstring).  For kappa = 0 and delta_c = 0 this
     reduces to -Omega/g independent of N and Delta.
     """
-    if params.g0 == 0:
-        raise ValueError("g0 must be nonzero")
-    gbar = params.g0 if pattern.parity == 0 else -params.g0
-    r = _response(pattern.n_atoms * saturation(gbar, params), params)
-    return -(params.omega / gbar) * r / (
-        r + params.kappa / 2 - 1j * params.delta_c)
+    return _in_phase(pattern, params)[0]
 
 
 def excited_population(pattern: PatternSpec, params: SystemParams) -> float:
     """Excited-state population of one atom in the in-phase pattern: the
-    saturation of its local field Omega + g alpha_0, which is
-    Omega (kappa/2 - i delta_c) / (R + kappa/2 - i delta_c).
+    saturation of its local field Omega + g alpha_0 (see _in_phase).
 
     Exactly 0 at kappa = 0, delta_c = 0: the cavity field interferes
     destructively with the pump at every atom.
     """
-    cavity = params.kappa / 2 - 1j * params.delta_c
-    r = _response(pattern.n_atoms * saturation(params.g0, params), params)
-    return saturation(abs(params.omega * cavity / (r + cavity)), params)
+    return _in_phase(pattern, params)[1]
 
 
 def emission_rates(pattern: PatternSpec, params: SystemParams
                    ) -> tuple[float, float]:
     """(I_cav, total I_at) for the in-phase pattern, from the closed forms."""
-    alpha = in_phase_alpha(pattern, params)
-    i_cav = params.kappa * abs(alpha) ** 2
-    i_at = pattern.n_atoms * params.gamma * excited_population(pattern, params)
-    return i_cav, i_at
+    alpha, pi_e = _in_phase(pattern, params)
+    return (params.kappa * abs(alpha) ** 2,
+            pattern.n_atoms * params.gamma * pi_e)
+
+
+def _in_phase(pattern: PatternSpec, params: SystemParams
+              ) -> tuple[complex, float]:
+    """(alpha_0, s) of the in-phase pattern: its cavity amplitude and the
+    saturation parameter s of each atom's local field Omega + g alpha_0,
+    which is Omega (kappa/2 - i delta_c) / (R + kappa/2 - i delta_c).
+
+    A RegimeWarning when s exceeds 0.1: the closed forms treat the atoms
+    as a linear medium, and at s = 0.1 the two-level population
+    s / (1 + 2 s) is already 17% below s.  (_saturation_ok bounds the bare
+    couplings instead, which is far too strict where the cavity field
+    cancels the pump.)
+    """
+    if params.g0 == 0:
+        raise ValueError("g0 must be nonzero")
+    gbar = params.g0 if pattern.parity == 0 else -params.g0
+    cavity = params.kappa / 2 - 1j * params.delta_c
+    r = _response(pattern.n_atoms * saturation(params.g0, params), params)
+    s = saturation(abs(params.omega * cavity / (r + cavity)), params)
+    if s > 0.1:
+        warnings.warn("the atoms' local field is not well below saturation",
+                      RegimeWarning, stacklevel=3)
+    return -(params.omega / gbar) * r / (r + cavity), s
 
 
 def critical_atom_number(params: SystemParams) -> float:

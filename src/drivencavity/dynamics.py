@@ -98,19 +98,22 @@ def steady_state(l: Superoperator) -> DensityMatrix:
     The first equation of L rho = 0 is replaced by the trace row, which
     gives a matrix m with m vec(rho) = e_0.  With one atom, m is built and
     solved by sparse LU; with more, m is never built: GMRES, preconditioned
-    with the inverse of rho -> -i(h_eff rho - rho h_eff^dag), applies m as
-    L with its entry 0 replaced by the trace, to relative residual 1e-8.
-    First pass by the route's solve, then one refinement by the same solve:
-    m d = e_0 - m x, and x += d.  (Adding 1 tr(rho) to every diagonal
-    equation instead of the trace row would put rounding noise on all of
-    them, which near-dark states cannot afford.)
+    with the inverse P^-1 of rho -> -i(h_eff rho - rho h_eff^dag), applies
+    m as L with its entry 0 replaced by the trace, to relative residual
+    1e-8.  First pass by the route's solve, then one refinement by the
+    route's solve: m d = e_0 - m x, and x += d.  GMRES's first pass is
+    right-preconditioned (m P^-1 u = e_0, x = P^-1 u) and stops on the true
+    residual |e_0 - m x|; its refinement is left-preconditioned (see
+    _TraceRowSystem).  (Adding 1 tr(rho) to every diagonal equation
+    instead of the trace row would put rounding noise on all of them,
+    which near-dark states cannot afford.)
 
     The state is certified before it is solved for: a degenerate null space
     makes m singular.  Where kappa > 0 (and gamma > 0) the state is unique
     on every truncation (see _TraceRowSystem), and m is certified without a
     solve when CONDITION_SCALE_BOUND |m|_1 / min(kappa, gamma) is within
     DEGENERACY_CONDITION_LIMIT.  Otherwise m is solved against a fixed
-    random vector r, by LU or by GMRES to 1e-8 as above, and a
+    random vector r, by LU or by the first pass's GMRES as above, and a
     DegenerateSteadyStateError is raised when that solve fails, or when the
     1-norm condition estimate |m| |m^-1 r| / |r| exceeds
     DEGENERACY_CONDITION_LIMIT.  A failed LU factorization is a
@@ -131,12 +134,22 @@ class _TraceRowSystem:
     Construction factors m by sparse LU with one atom, whose fill grows
     slowly and where GMRES stalls under strong drive (g0 = 1, Omega = 3,
     kappa = 0.1 at dim 160), or eigendecomposes h_eff for the GMRES
-    preconditioner with more.  The condition estimate and the solve both
-    use that path's solve, in either order.  The solve comes in two steps,
-    so that a caller can read the state after the first and skip the
-    second: first pass by the route's solve, then one refinement by the
-    same solve in finish, which returns the unit-trace Hermitian state with
-    its residual check.
+    preconditioner P^-1 with more.  The condition estimate and the solve
+    both use that path's solve, in either order.  The solve comes in two
+    steps, so that a caller can read the state after the first and skip
+    the second: first pass, then one refinement in finish, which returns
+    the unit-trace Hermitian state with its residual check.  LU does both
+    with the same solve.  GMRES solves the first pass and the estimate
+    with P^-1 on the right, m P^-1 u = rhs and x = P^-1 u, so that it
+    minimizes and stops on the true residual |rhs - m x| and takes no more
+    iterations than 1e-8 needs; with P^-1 on the left scipy stops on
+    |P^-1 (rhs - m x)| instead, which takes 15-40% more iterations at
+    fig7's lambda/2 band.
+    The refinement keeps P^-1 on the left: its right-hand side e_0 - m x
+    can be as small as 1e-16 in norm, and on the right scipy's GMRES then
+    takes the Krylov vector, dominated by P^-1's large factors, for an
+    exact breakdown (h1 <= eps h0) and stops short, at relative residuals
+    of 1e-7 to 1e-5 on weakly driven two- and three-atom systems.
 
     A system holds only what its solves and checks read: L's CSR matrix,
     the space and the decay rates -2 Im diag(h_eff), and no copy of L.  It
@@ -185,10 +198,16 @@ class _TraceRowSystem:
                 lu = spla.splu(_trace_row_matrix(lmat, dim).T)
             except RuntimeError:
                 raise DegenerateSteadyStateError(math.inf) from None
-            self._solve = lambda rhs: lu.solve(rhs, trans="T")
+            self._solve = self._first_solve = (
+                lambda rhs: lu.solve(rhs, trans="T"))
         else:
             m = spla.LinearOperator(lmat.shape, matvec, dtype=lmat.dtype)
             precondition = _no_jump_inverse(l.h_eff)
+            right = spla.LinearOperator(
+                lmat.shape, lambda u: matvec(precondition.matvec(u)),
+                dtype=lmat.dtype)
+            self._first_solve = (
+                lambda rhs: precondition.matvec(_gmres(right, rhs)))
             self._solve = lambda rhs: _gmres(m, rhs, precondition)
 
     @functools.cached_property
@@ -224,13 +243,14 @@ class _TraceRowSystem:
         return self.estimate(), "estimate"
 
     def estimate(self) -> float:
-        """The 1-norm condition estimate of m from the path's solve against
-        a fixed random vector, or DegenerateSteadyStateError when that solve
-        fails or the estimate exceeds DEGENERACY_CONDITION_LIMIT."""
+        """The 1-norm condition estimate of m from the first pass's solve
+        against a fixed random vector, or DegenerateSteadyStateError when
+        that solve fails or the estimate exceeds
+        DEGENERACY_CONDITION_LIMIT."""
         side = self.lmat.shape[0]
         r = np.random.default_rng(0).standard_normal(side).astype(complex)
         try:
-            x = self._solve(r)
+            x = self._first_solve(r)
         except SteadyStateError as exc:
             raise DegenerateSteadyStateError(math.inf, str(exc)) from None
         condition = float(self.norm1 * np.abs(x).sum() / np.abs(r).sum())
@@ -239,8 +259,9 @@ class _TraceRowSystem:
         return condition
 
     def first_pass(self) -> np.ndarray:
-        """x with m x = e_0: the LU solution, or GMRES's to 1e-8."""
-        return self._solve(self._e0)
+        """x with m x = e_0: the LU solution, or right-preconditioned
+        GMRES's to a true relative residual of 1e-8."""
+        return self._first_solve(self._e0)
 
     def state(self, x: np.ndarray) -> DensityMatrix:
         """The unit-trace Hermitian part of vec(rho) = x, unchecked."""
@@ -250,9 +271,9 @@ class _TraceRowSystem:
         return DensityMatrix(self.space, rho)
 
     def finish(self, x: np.ndarray) -> tuple[DensityMatrix, float]:
-        """The state of first_pass's x refined once by the same solve, and
-        its residual |L rho|, or SteadyStateError when the residual exceeds
-        1e-9 dim."""
+        """The state of first_pass's x refined once, by LU or by GMRES with
+        P^-1 on the left, and its residual |L rho|, or SteadyStateError
+        when the residual exceeds 1e-9 dim."""
         rho = self.state(x + self._solve(self._e0 - self._matvec(x)))
         dim = self.space.dim
         residual = float(np.linalg.norm(self.lmat @ rho.entries.reshape(-1)))
@@ -303,9 +324,16 @@ def _no_jump_inverse(h_eff: np.ndarray) -> spla.LinearOperator:
     return spla.LinearOperator((dim * dim, dim * dim), apply, dtype=complex)
 
 
-def _gmres(m, rhs, precondition):
+def _gmres(m, rhs, precondition=None):
     """Restarted GMRES solution of m x = rhs to relative residual 1e-8,
-    with m a LinearOperator.
+    with m a LinearOperator and precondition, if given, applied on the
+    left.
+
+    scipy stops its inner iteration on the residual it minimizes, which
+    with a left preconditioner P^-1 is |P^-1 (rhs - m x)|, and accepts x
+    on the true residual |rhs - m x|.  A right-preconditioned solve passes
+    m P^-1 as m and no precondition, so that both are the true residual
+    (see _TraceRowSystem).
 
     Raises SteadyStateError with the iteration count and residual if it
     does not get there in ten restart cycles of 100 iterations.  scipy

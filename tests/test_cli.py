@@ -1005,6 +1005,26 @@ def test_strict_mode_promotes_regime_warning(tmp_path):
     assert main(["run", cfg_path, "--strict"]) == EXIT_REGIME
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_strict_mode_stops_on_a_saturated_collective_row(tmp_path):
+    # one atom at g0 = Omega = gamma = 1, kappa = 10: its local field's
+    # saturation parameter, the row's pi_e, is 2.04
+    cfg_path = _write_cfg(tmp_path, {
+        "mode": "collective",
+        "params": dict(BASE_PARAMS, g0=1.0, gamma=1.0, kappa=10.0),
+        "pattern": {"n_atoms": 1, "parity": 0},
+        "output": {"path": str(tmp_path / "o.csv"), "format": "csv"}})
+    assert main(["run", cfg_path]) == EXIT_OK
+    assert main(["run", cfg_path, "--strict"]) == EXIT_REGIME
+
+
+@pytest.mark.filterwarnings("error::drivencavity.model.RegimeWarning")
+@pytest.mark.parametrize("name", [name for name in preset_names()
+                                  if PRESETS[name].mode == "collective"])
+def test_collective_presets_stay_below_saturation(name):
+    run_figure(name)
+
+
 def test_json_output(tmp_path):
     out = tmp_path / "o.json"
     cfg_path = _write_cfg(tmp_path, {

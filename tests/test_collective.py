@@ -230,10 +230,11 @@ def test_emission_rates_consistent():
 
 
 @pytest.mark.parametrize("closed_form", [
-    in_phase_alpha, emission_rates, critical_atom_number,
-    restoring_coefficient])
+    in_phase_alpha, excited_population, emission_rates,
+    critical_atom_number, restoring_coefficient])
 def test_closed_forms_refuse_a_zero_coupling(closed_form):
-    # each divides by g0; a bare ZeroDivisionError named nothing
+    # each divides by g0, or shares the in-phase closed form that does; a
+    # bare ZeroDivisionError named nothing
     p = _params(g0=0.0, kappa=0.1)
     args = (p,) if closed_form is critical_atom_number else (PatternSpec(1), p)
     with pytest.raises(ValueError, match="g0 must be nonzero"):
@@ -244,3 +245,13 @@ def test_saturated_regime_warns():
     p = SystemParams(positions=(0.0,), g0=1.0, omega=1.0, kappa=0.1)
     with pytest.warns(RegimeWarning):
         adiabatic_alpha(p)
+
+
+@pytest.mark.parametrize("closed_form", [
+    in_phase_alpha, excited_population, emission_rates])
+def test_in_phase_closed_forms_warn_above_local_saturation(closed_form):
+    # the local field's saturation parameter is 2.04 here: the weak-drive
+    # closed form wrote pi_e = 2.04 without a warning
+    p = SystemParams(positions=(0.0,), g0=1.0, omega=1.0, kappa=10.0)
+    with pytest.warns(RegimeWarning, match="saturation"):
+        closed_form(PatternSpec(1), p)

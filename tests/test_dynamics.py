@@ -229,6 +229,19 @@ def test_krylov_steady_state_matches_lu(positions, system, n_max, monkeypatch):
                                                       rel=1e-6), name
 
 
+@pytest.mark.parametrize(
+    *test_krylov_steady_state_matches_lu.pytestmark[0].args,
+    **test_krylov_steady_state_matches_lu.pytestmark[0].kwargs)
+def test_first_pass_meets_the_true_residual(positions, system, n_max):
+    # GMRES on m P^-1 stops on the residual of the contract, |e_0 - m x|,
+    # not on |P^-1 (e_0 - m x)| as with P^-1 on the left
+    p = _params(positions=positions, **system)
+    l = build_liouvillian(p, build_space(p, n_max))
+    system = dynamics._TraceRowSystem(l)
+    x = system.first_pass()
+    assert np.linalg.norm(system._e0 - system._matvec(x)) <= 1e-8
+
+
 def _symmetry_maps(p, space):
     """{name: (the mapped params, rho -> the mapped state)} for the exact
     symmetries of the master equation; each keeps <a^dag a> and every pi_e.
@@ -391,7 +404,9 @@ def _weak_drive_system(seed, n_atoms):
 # three of which are tested) the move between neighbouring half decades was
 # at most 45 Omega^2 |r| until the solves' absolute floor, which on
 # populations of 1e-23 to 1e-16 was at most 1.1e-24 for GMRES (N = 2,
-# Omega = 1.15e-9) and 4e-31 for LU.
+# Omega = 1.15e-9; 1.06e-24 there, and 9.9e-25 at N = 3, with the first
+# pass right-preconditioned as with it left-preconditioned) and 4e-31 for
+# LU.
 _SCALING_C, _POPULATION_FLOOR = 100.0, 1e-22
 
 
