@@ -62,8 +62,7 @@ from .collective import (
     adiabatic_alpha,
     critical_atom_number,
     effective_field_params,
-    excited_population,
-    in_phase_alpha,
+    in_phase_field,
     restoring_coefficient,
     semiclassical_force,
 )
@@ -100,13 +99,12 @@ __all__ = [
     "effective_field_params",
     "evolve",
     "excitation_spectrum",
-    "excited_population",
     "expectation",
     "fidelity_with_pure",
     "fock_populations",
     "free_space_fluorescence",
     "ground_state",
-    "in_phase_alpha",
+    "in_phase_field",
     "observables",
     "perturbative_state",
     "probe_response_numeric",

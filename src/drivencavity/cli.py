@@ -29,8 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .collective import (PatternSpec, emission_rates, excited_population,
-                         in_phase_alpha)
+from .collective import PatternSpec, in_phase_field
 from .dynamics import (_one_blas_thread, evolve, ground_state, observables,
                        solve_steady)
 from .figures import PRESETS, Preset, preset_names
@@ -383,12 +382,11 @@ def _quantities(point: dict, solved: dict | None) -> dict:
         probe = ProbeParams(omega_p_tilde=point["omega_p"])
         return {"w": excitation_spectrum(point["delta_p"], params, probe)}
     if mode == "collective":
-        pattern = PatternSpec(point["n_atoms"], point["parity"])
-        alpha = in_phase_alpha(pattern, params)
-        i_cav, i_at = emission_rates(pattern, params)
-        return {"re_alpha": alpha.real, "im_alpha": alpha.imag,
-                "mean_n": abs(alpha) ** 2, "i_cav": i_cav, "i_at": i_at,
-                "pi_e": excited_population(pattern, params)}
+        field = in_phase_field(PatternSpec(point["n_atoms"], point["parity"]),
+                               params)
+        return {"re_alpha": field.alpha.real, "im_alpha": field.alpha.imag,
+                "mean_n": field.mean_n, "i_cav": field.i_cav,
+                "i_at": field.i_at, "pi_e": field.pi_e}
     if solved is None:
         raise RuntimeError("the master-equation solve failed")
     if mode == "stark":

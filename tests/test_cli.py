@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from drivencavity import cli, dynamics, model
-from drivencavity.collective import PatternSpec, in_phase_alpha
+from drivencavity.collective import PatternSpec, in_phase_field
 from drivencavity.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -339,14 +340,14 @@ def test_figure_fig11b_parameters():
 
 def test_failed_preset_rows_keep_axis_columns(monkeypatch):
     good = {name: run_figure(name, points=5) for name in ("fig10", "fig9a")}
-    real = cli.in_phase_alpha
+    real = cli.in_phase_field
 
     def fails_for_some(pattern, params):
         if pattern.n_atoms > 100 or params.kappa == 0.01:
             raise RuntimeError("forced failure")
         return real(pattern, params)
 
-    monkeypatch.setattr(cli, "in_phase_alpha", fails_for_some)
+    monkeypatch.setattr(cli, "in_phase_field", fails_for_some)
     for name, n_axes in (("fig10", 1), ("fig9a", 2)):
         result = run_figure(name, points=5)
         assert result.columns == good[name].columns
@@ -481,8 +482,8 @@ def _library_row(mode: str, point: dict) -> dict:
         obs = dynamics.observables(rho, params)
         return {"i_at": obs.i_at_total, "mean_n": obs.mean_n,
                 "re_alpha": obs.alpha.real, "im_alpha": obs.alpha.imag}
-    alpha = in_phase_alpha(PatternSpec(point["n_atoms"], point["parity"]),
-                           params)
+    alpha = in_phase_field(PatternSpec(point["n_atoms"], point["parity"]),
+                           params).alpha
     return {"re_alpha": alpha.real, "im_alpha": alpha.imag}
 
 
@@ -1023,6 +1024,45 @@ def test_strict_mode_stops_on_a_saturated_collective_row(tmp_path):
                                   if PRESETS[name].mode == "collective"])
 def test_collective_presets_stay_below_saturation(name):
     run_figure(name)
+
+
+def test_collective_rows_keep_their_invariants(tmp_path):
+    # exact identities between a row's columns, and one RegimeWarning,
+    # raised at the CLI's call, on each row past the local-saturation flag
+    rng = np.random.default_rng(29)
+    saturated = 0
+    for i in range(200):
+        g0 = float(rng.choice([-1, 1]) * 10 ** rng.uniform(-1.3, 1))
+        n_atoms = int(10 ** rng.uniform(0, 3))
+        gamma = float(10 ** rng.uniform(-0.5, 0.5))
+        cfg_path = _write_cfg(tmp_path, {
+            "mode": "collective",
+            "params": {
+                "positions": [0.0], "g0": g0, "gamma": gamma,
+                "omega": float(10 ** rng.uniform(-2, 1)),
+                "kappa": float(rng.choice([0.0, 10 ** rng.uniform(-3, 1.3)])),
+                "delta": float(rng.uniform(-10, 10)),
+                "delta_c": float(rng.uniform(-5, 5))},
+            "pattern": {"n_atoms": n_atoms,
+                        "parity": int(rng.integers(2))}}, f"c{i}.json")
+        cfg = load_config(cfg_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_config(cfg)
+        row = dict(zip(result.columns, result.rows[0]))
+        params = cfg["params"]
+        assert row["ok"] == 1
+        assert row["mean_n"] == abs(complex(row["re_alpha"],
+                                            row["im_alpha"])) ** 2
+        assert row["i_cav"] == params.kappa * row["mean_n"]
+        assert row["i_at"] == n_atoms * params.gamma * row["pi_e"]
+        assert row["pi_e"] >= 0
+        regime = [w for w in caught if w.category is model.RegimeWarning]
+        assert len(regime) == (row["pi_e"] > 0.1), (cfg_path, row)
+        assert all(w.filename == cli.__file__ for w in regime)
+        saturated += len(regime)
+    # the draw reaches both sides of the flag (35 of 200 rows warn)
+    assert 10 < saturated < 190
 
 
 def test_json_output(tmp_path):
