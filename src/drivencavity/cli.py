@@ -53,7 +53,7 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------- config ---
 
 _PARAM_KEYS = {"positions", "g0", "omega", "kappa", "delta", "delta_c",
-               "theta", "gamma", "omega_n"}
+               "theta", "gamma"}
 _SWEEP_KEYS = {"param", "start", "stop", "points", "scale"}
 _COMMON_KEYS = {"mode", "output", "n_workers"}
 # a figure runs its preset; a point mode reads its params, sweeps and the
@@ -151,10 +151,6 @@ def _parse_sweep(raw: dict, mode: str, where: str,
             f"'{param}' is not sweepable in mode '{mode}' "
             f"(allowed: {sorted(_SWEEPABLE[mode])}"
             f"{'' if mode == 'collective' else ' and position[i]'})")
-    elif (param == "omega" and mode in ("steady", "evolve")
-          and params.omega_n is not None):
-        raise ConfigError(f"'omega' is not sweepable in mode '{mode}' while "
-                          f"params.omega_n sets each atom's drive")
     if swp["scale"] not in ("linear", "log"):
         raise ConfigError(f"{where}: scale must be 'linear' or 'log'")
     if swp["points"] < 2:
@@ -216,10 +212,8 @@ def load_config(path: str) -> dict:
     _require_keys(params_raw, _PARAM_KEYS, "params")
     fields = {"kappa": 0.0}
     for key, value in params_raw.items():
-        if key not in ("positions", "omega_n"):
-            fields[key] = _number(value, f"params.{key}")
-        elif value is not None or key == "positions":
-            fields[key] = _numbers(value, f"params.{key}")
+        read = _numbers if key == "positions" else _number
+        fields[key] = read(value, f"params.{key}")
     try:
         base = SystemParams(**fields)
     except (TypeError, ValueError) as exc:
@@ -267,10 +261,6 @@ def _settings(raw: dict, mode: str, params: SystemParams) -> dict:
 def _check_point(point: dict) -> None:
     """The rules every point config obeys, base and swept values alike."""
     mode = point["mode"]
-    if (mode in ("spectrum", "collective")
-            and point["params"].omega_n is not None):
-        raise ConfigError(f"params.omega_n is not read in mode '{mode}': its "
-                          f"closed forms take the one pump amplitude omega")
     if mode == "spectrum":
         try:
             transition_amplitude(point["delta_p"], point["params"],
@@ -505,7 +495,7 @@ def _system_key(point: dict) -> tuple[tuple, tuple[int, ...]] | None:
 
     Two steady points get the same key when a map that leaves the steady
     state unchanged takes one system onto the other:
-      - relabeling the atoms, when the pump is homogeneous;
+      - relabeling the atoms, as every atom has the one pump amplitude;
       - x -> -x (mod 1) on any one position, when |cos theta| is zero to
         rounding: g(x) is even and the pump phase is then zero everywhere,
         so each position enters only through g(x); the key holds
@@ -520,9 +510,7 @@ def _system_key(point: dict) -> tuple[tuple, tuple[int, ...]] | None:
     if abs(math.cos(params.theta)) < _FOLD_TOL:
         positions = [min(x % 1.0, -x % 1.0) for x in positions]
     cells = [round(x / _FOLD_TOL) for x in positions]
-    atoms = range(len(cells))
-    if len(set(params.pump_amplitudes)) == 1:
-        atoms = sorted(atoms, key=cells.__getitem__)
+    atoms = sorted(range(len(cells)), key=cells.__getitem__)
     rest = tuple(v for k, v in vars(params).items() if k != "positions")
     return (rest, point["n_max"], tuple(cells[n] for n in atoms)), tuple(atoms)
 

@@ -39,9 +39,9 @@ class SystemParams:
     """All physical parameters, rates in units of gamma.
 
     positions are x_n in units of the wavelength; theta is the angle
-    between pump propagation and the cavity axis; omega_n optionally
-    gives per-atom pump amplitudes (defaults to a homogeneous omega).
-    A non-finite field, position or omega_n entry is a ValueError.
+    between pump propagation and the cavity axis; omega is the one pump
+    amplitude of every atom.  A non-finite field or position is a
+    ValueError.
     """
 
     positions: tuple[float, ...]
@@ -52,29 +52,20 @@ class SystemParams:
     delta_c: float = 0.0
     theta: float = math.pi / 2
     gamma: float = 1.0
-    omega_n: tuple[float, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "positions", tuple(float(x) for x in self.positions))
-        _require_finite(**{k: v for k, v in vars(self).items() if v is not None})
+        _require_finite(**vars(self))
         if self.n_atoms < 1:
             raise ValueError("at least one atom is required")
         if self.kappa < 0:
             raise ValueError("kappa must be nonnegative")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        if self.omega_n is not None and len(self.omega_n) != self.n_atoms:
-            raise ValueError("omega_n must have one entry per atom")
 
     @property
     def n_atoms(self) -> int:
         return len(self.positions)
-
-    @property
-    def pump_amplitudes(self) -> np.ndarray:
-        if self.omega_n is not None:
-            return np.asarray(self.omega_n, dtype=float)
-        return np.full(self.n_atoms, float(self.omega))
 
 
 @dataclass(frozen=True)
@@ -259,7 +250,7 @@ def _hamiltonian_coefficients(params: SystemParams,
     """The coefficient of each term of term_plan(space) in H."""
     _check_atom_count(params, space)
     g_n, phi_n = mode_function(np.asarray(params.positions), params)
-    drive = params.pump_amplitudes * np.exp(1j * phi_n)
+    drive = params.omega * np.exp(1j * phi_n)
     coefficients = [-params.delta_c]
     for n in range(params.n_atoms):
         coefficients += [-params.delta, g_n[n], drive[n],

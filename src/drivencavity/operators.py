@@ -26,7 +26,7 @@ class TruncationError(ValueError):
 def _require_finite(**values) -> None:
     """ValueError naming the first of values (numbers, or tuples, lists or
     arrays of numbers) not finite.  A number takes one isfinite call and no
-    wrapping: SystemParams checks nine values on every construction."""
+    wrapping: SystemParams checks eight values on every construction."""
     for name, value in values.items():
         if not (all(map(cmath.isfinite, value))
                 if isinstance(value, (tuple, list, np.ndarray))

@@ -30,7 +30,6 @@ from .operators import (
     SpaceDescriptor,
     _require_integer,
     annihilation,
-    atomic_lowering,
     basis_state,
     displacement,
 )
@@ -57,7 +56,7 @@ def displaced_effective_hamiltonian(params: SystemParams,
         raise ValueError("displaced effective Hamiltonian requires delta_c = 0")
     beta = beta_profile(params.positions[0], params)
     h0 = build_liouvillian(
-        replace(params, omega=0.0, omega_n=None, kappa=0.0), space).h_eff
+        replace(params, omega=0.0, kappa=0.0), space).h_eff
     a_disp = annihilation(space).entries + beta * np.eye(space.dim)
     v = -0.5j * (a_disp.conj().T @ a_disp)
     return Operator(space, h0), Operator(space, v)
@@ -190,9 +189,8 @@ def perturbative_state(params: SystemParams, t: float, order: int = 2,
             sym(u2 + babs2 * big_w + np.conj(beta) * z) + np.outer(w, w.conj())
             + (babs2**2 * t**2 / 2 + params.gamma * j_integral) * rho0_disp)
 
-    # the omitted J-terms of the expansion must vanish identically
-    sig = atomic_lowering(space, 0).entries
-    assert np.abs(sig @ e_g0).max() < 1e-14
+    # the omitted J-terms of the expansion vanish identically: each carries
+    # sigma |g,0>, and the lowering operator annihilates the ground state
 
     # back to the lab frame
     d = displacement(space, beta).entries

@@ -121,8 +121,6 @@ def test_sweep_validation(tmp_path, sweep):
     {"n_workers": True},
     {"params": dict(BASE_PARAMS, g0=True)},
     {"params": dict(BASE_PARAMS, positions=[0.0, float("nan")])},
-    {"params": dict(BASE_PARAMS, positions=[0.0, 0.5],
-                    omega_n=[1.0, float("inf")])},
     # a figure config carries no keys its preset would ignore
     {"mode": "figure", "figure": "fig2a"},
     # and no other mode reads a figure's keys
@@ -148,25 +146,12 @@ def test_sweep_validation(tmp_path, sweep):
      "params": dict(BASE_PARAMS, kappa=0.0, positions=[0.0, 0.5])},
     {"mode": "spectrum", "params": dict(BASE_PARAMS, kappa=0.0,
                                         positions=[0.25])},
-    # a sweep that cannot change a row: a pattern places collective atoms,
-    # and omega_n, not omega, drives the atoms of a steady or evolve run
+    # a sweep that cannot change a row: a pattern places collective atoms
     {"mode": "collective", "params": dict(BASE_PARAMS, positions=[0.0, 0.5]),
      "sweep": {"param": "position[1]", "start": 0.1, "stop": 0.4,
                "points": 3}},
-    {"params": dict(BASE_PARAMS, positions=[0.0, 0.25], omega_n=[0.5, 0.5]),
-     "n_max": 4,
-     "sweep": {"param": "omega", "start": 0.1, "stop": 2.0, "points": 3}},
-    {"mode": "evolve",
-     "params": dict(BASE_PARAMS, positions=[0.0, 0.25], omega_n=[0.5, 0.5]),
-     "n_max": 4,
-     "sweep": {"param": "omega", "start": 0.1, "stop": 2.0, "points": 3}},
-    # nor a field its mode does not read: the closed forms of collective
-    # and spectrum take omega, not omega_n
-    {"mode": "collective",
-     "params": dict(BASE_PARAMS, positions=[0.0, 0.5], g0=0.1, omega=0.1,
-                    kappa=1.0, omega_n=[5.0, 0.01])},
-    {"mode": "spectrum",
-     "params": dict(BASE_PARAMS, g0=1.0, kappa=0.0, omega_n=[1e-5])},
+    # one pump amplitude, omega, drives every atom: there is no per-atom one
+    {"params": dict(BASE_PARAMS, positions=[0.0, 0.5], omega_n=[1.0, 0.5])},
     # a format, worker count or params object out of range, and a sweep2
     # without a sweep
     {"output": {"format": "xml"}},
@@ -558,9 +543,9 @@ def test_symmetric_preset_points_are_solved_once(monkeypatch, name, points):
     n_axes = len(preset.axes)
     assert [row[:n_axes] for row in result.rows] \
         == [tuple(k / points for k in pair[-n_axes:]) for pair in pairs]
-    # theta = pi/2 and a homogeneous pump: swapping the atoms and x -> -x
-    # (mod 1) on either atom map a system onto an equal one; one solve per
-    # orbit of these maps, the diagonal x1 = x2 of fig8 unsolved
+    # theta = pi/2: swapping the atoms and x -> -x (mod 1) on either atom
+    # map a system onto an equal one; one solve per orbit of these maps,
+    # the diagonal x1 = x2 of fig8 unsolved
     def fold(k):
         return min(k, -k % points)
 
@@ -597,16 +582,13 @@ _SWEEP_BOTH = {"sweep": _SWEEP_X1,
     ({"theta": math.pi / 3}, {"sweep": _SWEEP_X2}, 7),
     # swapping the atoms still folds: 3 x 3 rows, 6 unordered pairs
     ({"theta": math.pi / 3}, _SWEEP_BOTH, 6),
-    # unless each atom has its own pump amplitude
-    ({"theta": math.pi / 3, "omega_n": [1.0, 0.5]}, _SWEEP_BOTH, 9),
     # at pi/2 each atom folds on its own: 5/8 is the mirror image of 3/8,
     # leaving the unordered pairs of {1/8, 3/8}.  At (1/8, 3/8) the atoms
     # cancel each other's field; delta 10 keeps mean_n there at 3e-4, so
     # g2 = <n(n-1)>/mean_n^2 resolves to 1e-9 (at delta 100 mean_n is 2e-8,
     # and g2 of equal systems differs by 3e-8, swap alone included)
     ({"theta": math.pi / 2, "delta": 10.0}, _SWEEP_BOTH, 3),
-], ids=["theta_pi_2", "theta_pi_3", "theta_pi_3-swap",
-        "theta_pi_3-unequal_pump", "theta_pi_2-both"])
+], ids=["theta_pi_2", "theta_pi_3", "theta_pi_3-swap", "theta_pi_2-both"])
 def test_position_sweep_folds_only_equal_systems(
         tmp_path, monkeypatch, params, sweeps, solves):
     calls = _count_solves(monkeypatch)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,12 @@ from drivencavity.collective import (
     restoring_coefficient,
     semiclassical_force,
 )
-from drivencavity.model import RegimeWarning, SystemParams, saturation
+from drivencavity.model import (
+    RegimeWarning,
+    SystemParams,
+    mode_function,
+    saturation,
+)
 
 
 def _params(n=1, **kw):
@@ -276,3 +282,42 @@ def test_in_phase_field_is_within_three_s_of_the_exact_solve(
     assert abs(field.alpha - exact.alpha) <= bound * abs(field.alpha)
     assert np.all(np.abs(field.pi_e - exact.pi_e_per_atom)
                   <= bound * field.pi_e)
+
+
+def _unequal_positions(seed):
+    """A seeded system of two or three atoms at random positions, pump
+    angle, detunings and kappa, driven weakly enough for _saturation_ok."""
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 2
+    delta = rng.uniform(-20.0, 20.0)
+    # _saturation_ok holds below this drive; |g0| >= Omega keeps
+    # default_n_max at 17 or less, so each solve takes milliseconds
+    limit = math.hypot(0.5, delta) / (3 * math.sqrt(n))
+    omega = rng.uniform(0.1, 1.0) * limit
+    return SystemParams(
+        positions=tuple(rng.uniform(0.0, 1.0, n)),
+        g0=float(rng.choice([-1.0, 1.0])) * rng.uniform(omega, limit),
+        omega=omega, kappa=rng.uniform(0.1, 3.0), delta=delta,
+        delta_c=rng.uniform(-2.0, 2.0), theta=rng.uniform(0.0, math.pi))
+
+
+@pytest.mark.filterwarnings("error::drivencavity.model.RegimeWarning")
+@pytest.mark.parametrize("seed", range(8))
+def test_adiabatic_alpha_at_unequal_positions_is_within_three_s(seed):
+    # saturation scales each atom's response by about 1 - 2 s, which moves
+    # alpha by 2 s relative, amplified by q = |kappa/2 - i delta_c| /
+    # |R + kappa/2 - i delta_c| near the atom-shifted cavity resonance;
+    # s is the largest saturation parameter of a local field
+    # Omega e^{i phi_n} + g_n alpha.  Measured: at most 2.51 s max(1, q)
+    # over seeds 0-299 (seed 119's exact solve fails), 2.12 on these eight;
+    # error/s alone reached 3.8
+    from drivencavity.dynamics import observables, solve_steady
+    p = _unequal_positions(seed)
+    alpha = adiabatic_alpha(p)
+    exact = observables(solve_steady(p).rho, p).alpha
+    g, phi = mode_function(np.asarray(p.positions), p)
+    s = saturation(np.abs(p.omega * np.exp(1j * phi) + g * alpha), p).max()
+    eff = effective_field_params(p)
+    q = (abs(p.kappa / 2 - 1j * p.delta_c)
+         / abs((eff.gamma_prime + p.kappa) / 2 - 1j * eff.delta_prime))
+    assert abs(alpha - exact) <= 3 * s * max(1.0, q) * abs(alpha)

@@ -187,9 +187,6 @@ def test_params_validation():
         SystemParams(positions=(), g0=1.0, omega=1.0, kappa=0.0)
     with pytest.raises(ValueError):
         SystemParams(positions=(0.0,), g0=1.0, omega=1.0, kappa=-0.1)
-    with pytest.raises(ValueError):
-        SystemParams(positions=(0.0,), g0=1.0, omega=1.0, kappa=0.0,
-                     omega_n=(1.0, 2.0))
 
 
 def _reference(params, space):
@@ -200,7 +197,7 @@ def _reference(params, space):
     collapses = []
     for n in range(params.n_atoms):
         sig = atomic_lowering(space, n).entries
-        drive = params.pump_amplitudes[n] * np.exp(1j * phi_n[n])
+        drive = params.omega * np.exp(1j * phi_n[n])
         h = (h - params.delta * (sig.conj().T @ sig)
              + g_n[n] * (a @ sig.conj().T + a.conj().T @ sig)
              + drive * sig.conj().T + np.conj(drive) * sig)
@@ -240,14 +237,13 @@ def _assert_matches_reference(params, space):
     (SystemParams(positions=(0.25, 0.6), g0=1.0, omega=1.0, kappa=0.0,
                   delta=0.0, delta_c=0.0), 4),
     (SystemParams(positions=(0.1, 0.3, 0.7), g0=2.0, omega=1.0, kappa=0.3,
-                  delta=0.3, delta_c=-0.2, theta=1.0,
-                  omega_n=(1.0, 0.5, 0.2)), 3),
+                  delta=0.3, delta_c=-0.2, theta=1.0), 3),
     (SystemParams(positions=(0.0, 1 / 3, 0.75), g0=1.0, omega=1.0,
                   kappa=0.0, delta=0.0, delta_c=0.0, theta=0.4), 3),
     # dim 222: the entry keys row * dim**3 + ... pass 2**31
     (SystemParams(positions=(0.1,), g0=1.0, omega=8.0, kappa=0.5), 110),
 ], ids=["1atom", "1atom-kappa0-resonant", "2atoms-fig8",
-        "2atoms-node-kappa0", "3atoms-theta1-unequal-pump",
+        "2atoms-node-kappa0", "3atoms-theta1",
         "3atoms-node-kappa0-theta", "1atom-dim222"])
 def test_plan_matches_kronecker_reference(params, n_max):
     _assert_matches_reference(params, build_space(params, n_max))
@@ -297,7 +293,6 @@ def test_cached_plan_is_read_only():
     ("g0", math.nan), ("omega", math.inf), ("kappa", math.nan),
     ("delta", math.nan), ("delta_c", -math.inf), ("theta", math.nan),
     ("gamma", math.inf), ("positions", (0.0, math.nan)),
-    ("omega_n", (1.0, math.inf)),
 ])
 def test_non_finite_parameter_is_rejected(field, value):
     kw = dict(positions=(0.0, 0.25), g0=1.0, omega=1.0, kappa=0.1)
