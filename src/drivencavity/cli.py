@@ -24,7 +24,7 @@ import multiprocessing.connection
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,8 +52,8 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------- config ---
 
-_PARAM_KEYS = {"positions", "g0", "omega", "kappa", "delta", "delta_c",
-               "theta", "gamma"}
+# the params keys and the p_ echo columns: SystemParams' fields, in order
+_PARAM_KEYS = tuple(f.name for f in fields(SystemParams))
 _SWEEP_KEYS = {"param", "start", "stop", "points", "scale"}
 _COMMON_KEYS = {"mode", "output", "n_workers"}
 # a figure runs its preset; a point mode reads its params, sweeps and the
@@ -209,13 +209,13 @@ def load_config(path: str) -> dict:
     params_raw = raw.get("params")
     if not isinstance(params_raw, dict):
         raise ConfigError("'params' object is required for this mode")
-    _require_keys(params_raw, _PARAM_KEYS, "params")
-    fields = {"kappa": 0.0}
+    _require_keys(params_raw, set(_PARAM_KEYS), "params")
+    values = {}
     for key, value in params_raw.items():
         read = _numbers if key == "positions" else _number
-        fields[key] = read(value, f"params.{key}")
+        values[key] = read(value, f"params.{key}")
     try:
-        base = SystemParams(**fields)
+        base = SystemParams(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid params: {exc}") from None
     cfg.update(_settings(raw, mode, base), params=base)
@@ -313,16 +313,16 @@ def _grid(cfg: dict, axes: list) -> list[tuple[dict, dict]]:
 def _apply(cfg: dict, assignments: dict) -> dict:
     """New point-config with swept values substituted: a position[i] or a
     params field goes to the params, any other name is a point key."""
-    point, fields = dict(cfg), {}
+    point, values = dict(cfg), {}
     positions = list(cfg["params"].positions)
     for name, value in assignments.items():
         if name.startswith("position["):
             positions[int(name[len("position["):-1])] = value
         elif name in _PARAM_KEYS:
-            fields[name] = value
+            values[name] = value
         else:
             point[name] = value
-    point["params"] = replace(cfg["params"], positions=positions, **fields)
+    point["params"] = replace(cfg["params"], positions=positions, **values)
     return point
 
 
@@ -343,11 +343,11 @@ def _obs_quantities(obs, n_max, residual) -> dict:
 
 
 def _echo(point: dict) -> dict:
+    """p_<field> per SystemParams field in order, positions last."""
     p = point["params"]
-    return {"p_g0": p.g0, "p_omega": p.omega, "p_kappa": p.kappa,
-            "p_delta": p.delta, "p_delta_c": p.delta_c, "p_theta": p.theta,
-            "p_gamma": p.gamma,
-            "p_positions": ";".join(_fmt_float(x) for x in p.positions)}
+    echo = {f"p_{name}": getattr(p, name) for name in _PARAM_KEYS
+            if name != "positions"}
+    return dict(echo, p_positions=";".join(map(_fmt_float, p.positions)))
 
 
 def _solve(system: dict) -> dict:

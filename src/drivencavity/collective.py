@@ -1,11 +1,11 @@
 """Many-atom regime with the dipoles adiabatically eliminated.
 
 Below saturation the atoms act as a linear medium: they add the response
-R = N s (gamma/2 + i Delta) to the cavity's own kappa/2 - i delta_c, so the
-field obeys a damped, driven harmonic-oscillator master equation with an
-atom-induced decay rate gamma' = 2 Re R, a detuning delta' = delta_c - Im R
-and a drive xi = -i R Omega sum_n g_n e^{i phi_n} / sum_n g_n^2 mediated by
-the collective dipole.
+R = N s (gamma/2 + i Delta), gamma = 1, to the cavity's own
+kappa/2 - i delta_c, so the field obeys a damped, driven harmonic-oscillator
+master equation with an atom-induced decay rate gamma' = 2 Re R, a detuning
+delta' = delta_c - Im R and a drive xi = -i R Omega sum_n g_n e^{i phi_n} /
+sum_n g_n^2 mediated by the collective dipole.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class PatternSpec:
 
 def _response(n_s: float, params: SystemParams) -> complex:
     """R = N s (gamma/2 + i Delta) for n_s = N s: the atoms' field response."""
-    return n_s * (params.gamma / 2 + 1j * params.delta)
+    return n_s * (0.5 + 1j * params.delta)
 
 
 def _pattern_response(n_atoms: int, params: SystemParams) -> complex:
@@ -73,7 +73,7 @@ def _amplitude(ratio: complex, r: complex, params: SystemParams) -> complex:
 
 def _saturation_ok(params: SystemParams) -> bool:
     n = params.n_atoms
-    lhs = math.hypot(params.gamma / 2, params.delta)
+    lhs = math.hypot(0.5, params.delta)
     return lhs > 3 * math.sqrt(n) * max(abs(params.g0), abs(params.omega))
 
 
@@ -155,7 +155,7 @@ def in_phase_field(pattern: PatternSpec, params: SystemParams
     mean_n = abs(alpha) ** 2
     return InPhaseField(alpha=alpha, mean_n=mean_n, pi_e=s,
                         i_cav=params.kappa * mean_n,
-                        i_at=pattern.n_atoms * params.gamma * s)
+                        i_at=pattern.n_atoms * s)
 
 
 def critical_atom_number(params: SystemParams) -> float:
@@ -193,7 +193,7 @@ def semiclassical_force(x_n: float, alpha: complex,
     """
     _require_finite(x_n=x_n, alpha=alpha)
     u0 = saturation(params.g0, params) * params.delta
-    eta_eff = params.omega * params.g0 / (-1j * params.delta + params.gamma / 2)
+    eta_eff = params.omega * params.g0 / (-1j * params.delta + 0.5)
     k = K_WAVENUMBER
     return k * u0 * abs(alpha) ** 2 * _sin_turns(2.0 * x_n) \
         + 2 * k * (np.conj(eta_eff) * alpha).imag * _sin_turns(x_n)

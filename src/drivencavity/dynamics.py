@@ -38,7 +38,7 @@ DEGENERACY_CONDITION_LIMIT = 1e10
 
 # Where the steady state is unique by structure (see _TraceRowSystem), the
 # condition estimate is taken to be at most this multiple of the
-# scale |m|_1 / (the smallest positive decay rate, min(kappa, gamma)).  On
+# scale |m|_1 / (the smallest positive decay rate, min(kappa, 1)).  On
 # 280 seeded systems (N = 1-3, kappa 1e-6 to 100, g0 1e-3 to 20, Omega <=
 # g0, Delta and delta_c 0 or up to +-100, n_max 1 to 39, dim <= 216) and a
 # grid of 1536 small ones (N = 1-2, n_max 1-5, g0 down to 0) the estimate
@@ -72,7 +72,7 @@ class TruncationEscalationError(RuntimeError):
 class ObservableSet:
     """Stationary (or instantaneous) observables of a state."""
 
-    i_at_total: float              # gamma sum_n <sig_n^dag sig_n>
+    i_at_total: float              # gamma sum_n <sig_n^dag sig_n>, gamma = 1
     i_cav: float                   # kappa <a^dag a>
     mean_n: float
     alpha: complex                 # <a>
@@ -109,9 +109,9 @@ def steady_state(l: Superoperator) -> DensityMatrix:
     which near-dark states cannot afford.)
 
     The state is certified before it is solved for: a degenerate null space
-    makes m singular.  Where kappa > 0 (and gamma > 0) the state is unique
-    on every truncation (see _TraceRowSystem), and m is certified without a
-    solve when CONDITION_SCALE_BOUND |m|_1 / min(kappa, gamma) is within
+    makes m singular.  Where kappa > 0 the state is unique on every
+    truncation (see _TraceRowSystem), and m is certified without a solve
+    when CONDITION_SCALE_BOUND |m|_1 / min(kappa, 1) is within
     DEGENERACY_CONDITION_LIMIT.  Otherwise m is solved against a fixed
     random vector r, by LU or by the first pass's GMRES as above, and a
     DegenerateSteadyStateError is raised when that solve fails, or when the
@@ -160,10 +160,10 @@ class _TraceRowSystem:
     largest truncations L alone takes tens of MB, so a copy next to it
     would double a solve's memory.
 
-    Why kappa > 0 and gamma > 0 make the steady state unique on every
+    Why kappa > 0 makes the steady state unique on every
     truncation (Spohn, Rev. Mod. Phys. 52, 569 (1980); Baumgartner and
     Narnhofer, J. Phys. A 41, 395303 (2008)):
-    - The collapse operators sqrt(gamma) sig_n and sqrt(kappa) a commute
+    - The collapse operators sig_n (gamma = 1) and sqrt(kappa) a commute
       and are nilpotent on the truncated space.  Their common kernel is
       that of sum_k rate_k c_k^dag c_k = -2 Im h_eff, which is diagonal:
       only |g...g, 0> is annihilated by all of them.  At kappa = 0 every
@@ -175,7 +175,7 @@ class _TraceRowSystem:
       (the positive and negative parts of their difference), and both
       supports would hold |g...g, 0>.
     The structure alone does not bound how close m is to singular; the
-    scale |m|_1 / min(kappa, gamma) does, through CONDITION_SCALE_BOUND.
+    scale |m|_1 / min(kappa, 1) does, through CONDITION_SCALE_BOUND.
     """
 
     def __init__(self, l: Superoperator):
@@ -223,7 +223,7 @@ class _TraceRowSystem:
 
     def scale(self) -> float:
         """|m|_1 over the smallest positive diagonal entry of -2 Im h_eff, or
-        inf unless exactly one entry is <= 0 (kappa > 0 and gamma > 0)."""
+        inf unless exactly one entry is <= 0 (kappa > 0)."""
         decay = self._decay
         if np.count_nonzero(decay <= 0) != 1:
             return math.inf
@@ -435,7 +435,7 @@ def observables(rho: DensityMatrix, params: SystemParams) -> ObservableSet:
         n2 = ((n * (n - 1)) @ at_terms).real
         g2 = n2 / mean_n**2
     return ObservableSet(
-        i_at_total=float((params.gamma * pi_e).sum()),
+        i_at_total=float(pi_e.sum()),
         i_cav=float(params.kappa * mean_n),
         mean_n=float(mean_n),
         alpha=alpha,

@@ -36,7 +36,7 @@ class RegimeWarning(UserWarning):
 
 @dataclass(frozen=True)
 class SystemParams:
-    """All physical parameters, rates in units of gamma.
+    """All physical parameters, rates in units of the linewidth gamma = 1.
 
     positions are x_n in units of the wavelength; theta is the angle
     between pump propagation and the cavity axis; omega is the one pump
@@ -47,11 +47,10 @@ class SystemParams:
     positions: tuple[float, ...]
     g0: float
     omega: float
-    kappa: float
+    kappa: float = 0.0
     delta: float = 0.0
     delta_c: float = 0.0
     theta: float = math.pi / 2
-    gamma: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "positions", tuple(float(x) for x in self.positions))
@@ -60,8 +59,6 @@ class SystemParams:
             raise ValueError("at least one atom is required")
         if self.kappa < 0:
             raise ValueError("kappa must be nonnegative")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
 
     @property
     def n_atoms(self) -> int:
@@ -101,9 +98,9 @@ def atom_coupling(params: SystemParams) -> float:
 
 
 def saturation(g, params: SystemParams):
-    """Saturation parameter g^2 / ((gamma/2)^2 + Delta^2) of a coupling or
-    pump amplitude g (elementwise for an array)."""
-    return g ** 2 / ((params.gamma / 2) ** 2 + params.delta ** 2)
+    """Saturation parameter g^2 / ((gamma/2)^2 + Delta^2), gamma = 1, of a
+    coupling or pump amplitude g (elementwise for an array)."""
+    return g ** 2 / (0.25 + params.delta ** 2)
 
 
 def default_n_max(params: SystemParams) -> int:
@@ -272,7 +269,7 @@ def build_liouvillian(params: SystemParams, space: SpaceDescriptor) -> Superoper
     """
     coefficients = _hamiltonian_coefficients(params, space)
     plan = term_plan(space)
-    rates = [params.gamma] * params.n_atoms + [params.kappa]
+    rates = [1.0] * params.n_atoms + [params.kappa]
     for k, rate in zip(plan.decay_terms, rates):
         coefficients[k] -= 0.5j * rate
     h_eff = plan.dense(coefficients)
@@ -304,6 +301,6 @@ def beta_profile(x: float, params: SystemParams) -> complex:
 
 
 def free_space_fluorescence(params: SystemParams) -> float:
-    """Saturated two-level scattering rate of a single atom in free space."""
+    """Scattering rate gamma s / (2 + s), gamma = 1, of one free atom."""
     s = saturation(params.omega, params)
-    return params.gamma * s / (2 + s)
+    return s / (2 + s)

@@ -72,7 +72,7 @@ def dressed_eigenvalues(n: int, params: SystemParams) -> tuple[complex, complex]
     if n < 1:
         raise ValueError("excitation number must be >= 1")
     g = abs(atom_coupling(params))
-    dt = params.delta + 0.5j * params.gamma
+    dt = params.delta + 0.5j  # Delta + i gamma/2, gamma = 1
     # z = dt^2 + 4 g^2 n has Im z = delta gamma, so z is real only at
     # delta = 0 and the root r (r^2 = z) continued from there crosses
     # neither axis.  Underdamped, r starts at sqrt(z) > 0 and keeps
@@ -80,7 +80,7 @@ def dressed_eigenvalues(n: int, params: SystemParams) -> tuple[complex, complex]
     # gamma^2/4), r starts at i sqrt(-z) on the cut and keeps Im r > 0,
     # which the principal root loses below the cut (delta < 0)
     r = np.sqrt(dt * dt + 4 * g * g * n)
-    if 4 * g * g * n < params.gamma ** 2 / 4 and r.imag < 0:
+    if 4 * g * g * n < 0.25 and r.imag < 0:
         r = -r
     lam_plus = -0.5 * (dt - r)
     lam_minus = -0.5 * (dt + r)
@@ -187,7 +187,7 @@ def perturbative_state(params: SystemParams, t: float, order: int = 2,
         j_integral = (f[n:, e0].conj() @ f[:n, e0]).real
         rho_terms.append(
             sym(u2 + babs2 * big_w + np.conj(beta) * z) + np.outer(w, w.conj())
-            + (babs2**2 * t**2 / 2 + params.gamma * j_integral) * rho0_disp)
+            + (babs2**2 * t**2 / 2 + j_integral) * rho0_disp)
 
     # the omitted J-terms of the expansion vanish identically: each carries
     # sigma |g,0>, and the lowering operator annihilates the ground state
@@ -208,15 +208,16 @@ def small_kappa_rates(params: SystemParams) -> SmallKappaRates:
     """Closed-form leading-order scattering rates at Delta = 0, g >> gamma.
 
     I_at = kappa (Omega/g)^2 / (2 C1), I_cav = kappa (Omega/g)^2 (1 - 1/(2 C1)),
-    with cooperativity C1 = 2 g^2 / (gamma kappa), inf at kappa = 0.
+    with cooperativity C1 = 2 g^2 / (gamma kappa), gamma = 1, inf at
+    kappa = 0.
     """
     gbar = abs(atom_coupling(params))
     if gbar == 0:
         raise ValueError("coupling vanishes; closed-form rates undefined")
-    if params.delta != 0 or gbar < 5 * params.gamma:
+    if params.delta != 0 or gbar < 5:
         warnings.warn("small-kappa rates are derived for Delta=0 and g >> gamma",
                       RegimeWarning, stacklevel=2)
-    c1 = 2 * gbar**2 / (params.gamma * params.kappa) if params.kappa else np.inf
+    c1 = 2 * gbar**2 / params.kappa if params.kappa else np.inf
     drive = params.kappa * params.omega**2 / gbar**2
     return SmallKappaRates(i_at=drive / (2 * c1), i_cav=drive * (1 - 1 / (2 * c1)),
                            c1=c1)

@@ -39,7 +39,7 @@ class ProbeParams:
 
     def weak_for(self, params: SystemParams) -> bool:
         gbar = abs(atom_coupling(params))
-        return self.omega_p_tilde < 0.1 * min(gbar, abs(params.omega), params.gamma)
+        return abs(self.omega_p_tilde) < 0.1 * min(gbar, abs(params.omega), 1.0)
 
 
 @dataclass(frozen=True)
@@ -63,12 +63,12 @@ def _coupled_gbar(params: SystemParams) -> float:
 def excitation_spectrum(delta_p: float, params: SystemParams,
                         probe: ProbeParams) -> float:
     """Probe-photon scattering rate into free space at detuning delta_p,
-    gamma |transition_amplitude|^2."""
+    gamma |transition_amplitude|^2 with gamma = 1."""
     amplitude = transition_amplitude(delta_p, params, probe)
     if not probe.weak_for(params):
         warnings.warn("probe is not weak compared to g, Omega, gamma",
                       RegimeWarning, stacklevel=2)
-    return params.gamma * abs(amplitude) ** 2
+    return abs(amplitude) ** 2
 
 
 def transition_amplitude(delta_p: float, params: SystemParams,
@@ -80,7 +80,7 @@ def transition_amplitude(delta_p: float, params: SystemParams,
         raise SpectrumDomainError(
             "excitation spectrum requires N=1, kappa=0 and delta_c=0")
     gbar = _coupled_gbar(params)
-    den = delta_p * (delta_p + params.delta + 0.5j * params.gamma) - gbar * gbar
+    den = delta_p * (delta_p + params.delta + 0.5j) - gbar * gbar
     return probe.omega_p_tilde * delta_p / den
 
 
@@ -95,9 +95,9 @@ def resonances(params: SystemParams) -> ResonancePair:
     root = math.sqrt(delta**2 + 4 * gbar**2)
     d_plus = 0.5 * (-delta + root)
     d_minus = 0.5 * (-delta - root)
-    g_plus = params.gamma / 4 * (1 + abs(delta) / root)
-    g_minus = params.gamma / 4 * (1 - abs(delta) / root)
-    valid = math.sqrt(delta**2 + gbar**2) > 5 * params.gamma
+    g_plus = 0.25 * (1 + abs(delta) / root)
+    g_minus = 0.25 * (1 - abs(delta) / root)
+    valid = math.sqrt(delta**2 + gbar**2) > 5
     return ResonancePair(delta_plus=d_plus, delta_minus=d_minus,
                          gamma_plus=g_plus, gamma_minus=g_minus,
                          regime_valid=valid)
@@ -182,7 +182,7 @@ def probe_response_numeric(delta_p: float, params: SystemParams,
     populations = sig.col * (dim + 1)
 
     def i_at(vec_rho: np.ndarray) -> float:
-        return params.gamma * float(vec_rho[populations].real.sum())
+        return float(vec_rho[populations].real.sum())
 
     one = sp.identity(dim, format="csr")
     commutators = [

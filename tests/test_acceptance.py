@@ -171,7 +171,7 @@ def test_criterion_07_collective_crossover():
 
     # resonance of the Fig. 11(b) regime: delta_c = N s Delta
     p11 = _single(10.0, 10.0, 10.0, delta=-1000.0, delta_c=-5.0)
-    s = p11.g0**2 / ((p11.gamma / 2) ** 2 + p11.delta**2)
+    s = p11.g0**2 / (0.25 + p11.delta**2)  # (gamma/2)^2, gamma = 1
     predicted = p11.delta_c / (s * p11.delta)
     ns11 = np.arange(20, 101)
     pe11 = [dc.in_phase_field(dc.PatternSpec(int(n)), p11).pi_e

@@ -157,7 +157,8 @@ def test_sweep_validation(tmp_path, sweep):
     {"output": {"format": "xml"}},
     {"n_workers": 0},
     {"params": None},
-    {"params": dict(BASE_PARAMS, gamma=0.0)},
+    # gamma is the unit of every rate, not a key, even at its value 1
+    {"params": dict(BASE_PARAMS, gamma=1.0)},
     {"sweep2": {"param": "kappa", "start": 0.1, "stop": 1.0, "points": 3}},
     # output.path names a file; a number or a list names none
     {"output": {"path": 5}},
@@ -964,6 +965,25 @@ def test_evolve_at_zero_time_writes_the_ground_state_row(tmp_path):
             values["ok"]) == ("nan", "3", "nan", "1")
 
 
+def test_steady_point_config_header(tmp_path):
+    # the axes, the observables, one p_ column per SystemParams field in
+    # field order with positions last, then ok
+    out = tmp_path / "o.csv"
+    cfg_path = _write_cfg(tmp_path, {
+        "mode": "steady",
+        "params": {"positions": [0.0], "g0": 0.0, "omega": 0.0,
+                   "kappa": 1.0},
+        "n_max": 1,
+        "sweep": {"param": "kappa", "start": 1.0, "stop": 2.0, "points": 2},
+        "sweep2": {"param": "delta", "start": 0.0, "stop": 1.0,
+                   "points": 2},
+        "output": {"path": str(out), "format": "csv"}})
+    assert main(["run", cfg_path]) == EXIT_OK
+    assert out.read_text().splitlines()[0] == (
+        "kappa,delta,i_at,i_cav,mean_n,re_alpha,im_alpha,g2,n_max,residual,"
+        "p_g0,p_omega,p_kappa,p_delta,p_delta_c,p_theta,p_positions,ok")
+
+
 def test_solver_failure_exit_code(tmp_path):
     # n_max pinned far below the coherent amplitude: every point fails
     cfg_path = _write_cfg(tmp_path, {
@@ -994,7 +1014,7 @@ def test_strict_mode_stops_on_a_saturated_collective_row(tmp_path):
     # saturation parameter, the row's pi_e, is 2.04
     cfg_path = _write_cfg(tmp_path, {
         "mode": "collective",
-        "params": dict(BASE_PARAMS, g0=1.0, gamma=1.0, kappa=10.0),
+        "params": dict(BASE_PARAMS, g0=1.0, kappa=10.0),
         "pattern": {"n_atoms": 1, "parity": 0},
         "output": {"path": str(tmp_path / "o.csv"), "format": "csv"}})
     assert main(["run", cfg_path]) == EXIT_OK
@@ -1016,15 +1036,19 @@ def test_collective_rows_keep_their_invariants(tmp_path):
     for i in range(200):
         g0 = float(rng.choice([-1, 1]) * 10 ** rng.uniform(-1.3, 1))
         n_atoms = int(10 ** rng.uniform(0, 3))
+        # the rates are drawn in units of a linewidth gamma and written in
+        # units of the atoms' own, gamma = 1: the same systems as drawn
         gamma = float(10 ** rng.uniform(-0.5, 0.5))
+        rates = {
+            "g0": g0,
+            "omega": float(10 ** rng.uniform(-2, 1)),
+            "kappa": float(rng.choice([0.0, 10 ** rng.uniform(-3, 1.3)])),
+            "delta": float(rng.uniform(-10, 10)),
+            "delta_c": float(rng.uniform(-5, 5))}
         cfg_path = _write_cfg(tmp_path, {
             "mode": "collective",
-            "params": {
-                "positions": [0.0], "g0": g0, "gamma": gamma,
-                "omega": float(10 ** rng.uniform(-2, 1)),
-                "kappa": float(rng.choice([0.0, 10 ** rng.uniform(-3, 1.3)])),
-                "delta": float(rng.uniform(-10, 10)),
-                "delta_c": float(rng.uniform(-5, 5))},
+            "params": {"positions": [0.0],
+                       **{k: v / gamma for k, v in rates.items()}},
             "pattern": {"n_atoms": n_atoms,
                         "parity": int(rng.integers(2))}}, f"c{i}.json")
         cfg = load_config(cfg_path)
@@ -1037,13 +1061,13 @@ def test_collective_rows_keep_their_invariants(tmp_path):
         assert row["mean_n"] == abs(complex(row["re_alpha"],
                                             row["im_alpha"])) ** 2
         assert row["i_cav"] == params.kappa * row["mean_n"]
-        assert row["i_at"] == n_atoms * params.gamma * row["pi_e"]
+        assert row["i_at"] == n_atoms * row["pi_e"]
         assert row["pi_e"] >= 0
         regime = [w for w in caught if w.category is model.RegimeWarning]
         assert len(regime) == (row["pi_e"] > 0.1), (cfg_path, row)
         assert all(w.filename == cli.__file__ for w in regime)
         saturated += len(regime)
-    # the draw reaches both sides of the flag (35 of 200 rows warn)
+    # the draw reaches both sides of the flag (37 of 200 rows warn)
     assert 10 < saturated < 190
 
 
@@ -1076,13 +1100,21 @@ def test_figure_config_runs_its_preset(tmp_path):
     assert metadata["grid_size"] == 3
 
 
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_example_config_validates(tmp_path):
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    blocks = readme.read_text(encoding="utf-8").split("```json\n")[1:]
+    blocks = _README.read_text(encoding="utf-8").split("```json\n")[1:]
     assert len(blocks) == 1
     path = tmp_path / "example.json"
     path.write_text(blocks[0].split("```")[0], encoding="utf-8")
     assert main(["validate", str(path)]) == EXIT_OK
+
+
+def test_readme_lists_every_preset_once():
+    listed = _README.read_text(encoding="utf-8").split(
+        "Preset names: `")[1].split("`")[0].split()
+    assert sorted(listed) == preset_names()
 
 
 def test_installed_entry_point(tmp_path):

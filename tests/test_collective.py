@@ -58,8 +58,8 @@ def test_drive_collapses_for_antinode_atoms():
     n = 4
     p = _params(n=n, delta=2.0)
     eff = effective_field_params(p)
-    s = p.g0**2 / ((p.gamma / 2) ** 2 + p.delta**2)
-    expected = n * s * (p.delta - 0.5j * p.gamma) * p.omega / p.g0
+    s = p.g0**2 / (0.25 + p.delta**2)  # (gamma/2)^2, gamma = 1
+    expected = n * s * (p.delta - 0.5j) * p.omega / p.g0
     assert eff.xi == pytest.approx(expected)
 
 
@@ -165,7 +165,7 @@ def test_critical_atom_numbers():
     p11 = _params(g0=10.0, omega=10.0, kappa=10.0, delta=-1000.0)
     # |Delta| >> gamma limit: |Delta| kappa / g0^2
     assert critical_atom_number(p11) == pytest.approx(100.0, rel=1e-3)
-    c1 = 2 * p10.g0**2 / (p10.kappa * p10.gamma)
+    c1 = 2 * p10.g0**2 / p10.kappa
     assert critical_atom_number(p10) * 2 * c1 == pytest.approx(1.0)
 
 
@@ -181,7 +181,7 @@ def test_force_dispersive_term_vanishes_on_resonance():
     # pump term alone only if U0 = 0
     p = _params(delta=0.0)
     alpha = -0.7 + 0.2j
-    eta = p.omega * p.g0 / (p.gamma / 2)
+    eta = p.omega * p.g0 / 0.5  # gamma/2, gamma = 1
     pump = 2 * 2 * np.pi * (np.conj(eta) * alpha).imag * np.sin(np.pi / 4)
     assert semiclassical_force(0.125, alpha, p) == pytest.approx(pump,
                                                                  rel=1e-12)
@@ -194,7 +194,7 @@ def test_force_sign_at_quarter_wavelength():
     p = _params(n=1, g0=1.0, omega=1.0, delta=-5.0)
     alpha = -0.4 + 0.0j
     f = semiclassical_force(0.25, alpha, p)
-    eta = p.omega * p.g0 / (-1j * p.delta + p.gamma / 2)
+    eta = p.omega * p.g0 / (-1j * p.delta + 0.5)
     expected = 2 * 2 * np.pi * (np.conj(eta) * alpha).imag
     assert f == pytest.approx(expected, rel=1e-12)
     assert f < 0
@@ -228,7 +228,7 @@ def test_emission_rates_consistent():
     pat = PatternSpec(100)
     field = in_phase_field(pat, p)
     assert field.i_cav == pytest.approx(p.kappa * abs(field.alpha) ** 2)
-    assert field.i_at == pytest.approx(100 * p.gamma * field.pi_e)
+    assert field.i_at == pytest.approx(100 * field.pi_e)
 
 
 @pytest.mark.parametrize("closed_form", [

@@ -71,7 +71,7 @@ def test_emission_ratio_tracks_cooperativity():
     p = _params(omega=1.0, g0=10.0, kappa=0.1)
     sol = solve_steady(p)
     obs = observables(sol.rho, p)
-    c1 = 2 * p.g0**2 / (p.kappa * p.gamma)
+    c1 = 2 * p.g0**2 / p.kappa  # gamma = 1
     assert c1 == 2000
     ratio = obs.i_cav / obs.i_at_total
     assert (2 * c1 - 1) / 2 < ratio < (2 * c1 - 1) * 2
@@ -111,7 +111,7 @@ def test_collapse_operators_share_one_kernel_vector_at_positive_kappa(n_atoms):
     for kappa in (0.3, 0.0):
         p = _params(positions=(0.1,) * n_atoms, kappa=kappa)
         space = build_space(p, n_max=n_max)
-        rates = [p.gamma] * n_atoms + [kappa]
+        rates = [1.0] * n_atoms + [kappa]
         stacked = np.vstack([math.sqrt(rate) * c.toarray() for rate, c
                              in zip(rates, term_plan(space).collapses)])
         kernel = scipy.linalg.null_space(stacked)

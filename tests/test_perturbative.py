@@ -65,7 +65,7 @@ def test_displaced_frame_consistency():
     a = annihilation(space)
     sig = atomic_lowering(space, 0)
     h_nh = h.entries - 0.5j * p.kappa * (a.dag() @ a).entries \
-        - 0.5j * p.gamma * (sig.dag() @ sig).entries
+        - 0.5j * (sig.dag() @ sig).entries
     d = displacement(space, beta_profile(0.0, p)).entries
     lhs = d.conj().T @ h_nh @ d
     rhs = h0.entries + p.kappa * v.entries
@@ -77,10 +77,11 @@ def test_displaced_frame_consistency():
 # --------------------------------------------------- dressed spectrum ----
 
 def test_dressed_eigenvalues_limits():
-    p = _params(g0=1.0, gamma=1e-12)
+    # gamma -> 0 against g0, in units of gamma: g0 = 1e12, lambda = +-g0
+    p = _params(g0=1e12)
     lp, lm = dressed_eigenvalues(1, p)
-    assert lp.real == pytest.approx(1.0, abs=1e-6)
-    assert lm.real == pytest.approx(-1.0, abs=1e-6)
+    assert lp.real / p.g0 == pytest.approx(1.0, abs=1e-6)
+    assert lm.real / p.g0 == pytest.approx(-1.0, abs=1e-6)
 
     p = _params(g0=1.0)
     lp, lm = dressed_eigenvalues(1, p)
@@ -93,7 +94,7 @@ def test_dressed_eigenvalue_imaginary_sum():
         p = _params(g0=3.0, delta=delta)
         for n in (1, 2, 5):
             lp, lm = dressed_eigenvalues(n, p)
-            assert lp.imag + lm.imag == pytest.approx(-p.gamma / 2, abs=1e-10)
+            assert lp.imag + lm.imag == pytest.approx(-0.5, abs=1e-10)
 
 
 @pytest.mark.parametrize("g0, delta, n", [
@@ -183,7 +184,7 @@ def test_fluorescence_scales_quadratically_in_kappa():
     sig = atomic_lowering(space, 0)
     proj = sig.dag() @ sig
     kappas = np.array([1e-4, 1e-3, 1e-2])
-    i_at = [p.gamma * expectation(proj, ps.assemble(k)).real for k in kappas]
+    i_at = [expectation(proj, ps.assemble(k)).real for k in kappas]
     slope = np.polyfit(np.log(kappas), np.log(i_at), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.05)
 

@@ -86,13 +86,13 @@ def test_spectrum_is_gamma_times_amplitude_squared():
     for dp in np.linspace(-3, 3, 13):
         w = excitation_spectrum(dp, p, PROBE)
         t = transition_amplitude(dp, p, PROBE)
-        assert w == pytest.approx(p.gamma * abs(t) ** 2, rel=1e-12)
+        assert w == pytest.approx(abs(t) ** 2, rel=1e-12)  # gamma = 1
 
 
 def test_amplitude_poles_match_resonances():
     p = _params(g0=10.0)
-    # roots of delta(delta + Delta + i gamma/2) - g^2
-    roots = np.roots([1.0, p.delta + 0.5j * p.gamma, -p.g0**2])
+    # roots of delta(delta + Delta + i gamma/2) - g^2, gamma = 1
+    roots = np.roots([1.0, p.delta + 0.5j, -p.g0**2])
     r = resonances(p)
     expected = {complex(r.delta_plus, -r.gamma_plus),
                 complex(r.delta_minus, -r.gamma_minus)}
@@ -112,6 +112,18 @@ def test_domain_errors():
 def test_strong_probe_warns():
     with pytest.warns(RegimeWarning):
         excitation_spectrum(1.0, _params(), ProbeParams(omega_p_tilde=0.5))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+def test_probe_strength_is_its_magnitude(sign):
+    # the rate reads |omega_p|^2: -5 scatters as much as +5, so it is as
+    # far from weak and warns alike
+    p = _params()
+    assert ProbeParams(sign * 1e-3).weak_for(p)
+    assert not ProbeParams(sign * 5.0).weak_for(p)
+    with pytest.warns(RegimeWarning, match="not weak"):
+        w = excitation_spectrum(0.7, p, ProbeParams(sign * 5.0))
+    assert w == pytest.approx(32.0178, rel=1e-5)
 
 
 def test_stark_shift_vanishes_at_pumping_atom():
@@ -166,7 +178,7 @@ def _probe_response_reference(delta_p, params, probe, n_max, t_final):
     lmat = build_liouvillian(params, space).matrix
     sig = atomic_lowering(space, 0)
     proj = (sig.dag() @ sig).entries
-    i_at_ss = params.gamma * expectation(sig.dag() @ sig, sol.rho).real
+    i_at_ss = expectation(sig.dag() @ sig, sol.rho).real  # gamma = 1
     sig_m, sig_p = sig.entries, sig.dag().entries
     dim, wp = space.dim, probe.omega_p_tilde
 
@@ -183,7 +195,7 @@ def _probe_response_reference(delta_p, params, probe, n_max, t_final):
     assert out.success
     pops = [np.trace(proj @ out.y[:, k].reshape(dim, dim)).real
             for k in range(out.y.shape[1])]
-    return params.gamma * float(np.mean(pops)) - i_at_ss
+    return float(np.mean(pops)) - i_at_ss
 
 
 @pytest.mark.parametrize("delta_p", [-10.0, 10.0, 11.5])
