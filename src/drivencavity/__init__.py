@@ -58,7 +58,6 @@ from .spectrum import (
     transition_amplitude,
 )
 from .collective import (
-    PatternSpec,
     adiabatic_alpha,
     critical_atom_number,
     effective_field_params,
@@ -75,7 +74,6 @@ __all__ = [
     "NodePositionError",
     "ObservableSet",
     "Operator",
-    "PatternSpec",
     "ProbeParams",
     "RegimeWarning",
     "SpaceDescriptor",

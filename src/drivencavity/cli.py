@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .collective import PatternSpec, in_phase_field
+from .collective import _pattern_response, in_phase_field
 from .dynamics import (_one_blas_thread, evolve, ground_state, observables,
                        solve_steady)
 from .figures import PRESETS, Preset, preset_names
@@ -70,7 +70,7 @@ _SECTIONS = {
     "evolve": {"n_max": None, "evolve": {"t_final": 10.0}},
     "spectrum": {"probe": {"omega_p": 1e-3, "delta_p": 0.0}},
     "stark": {"n_max": None, "stark": {"x_probe": 0.25, "delta_2": 1000.0}},
-    "collective": {"pattern": {"n_atoms": None, "parity": 0}},
+    "collective": {"pattern": {"n_atoms": None}},
 }
 _MODES = set(_SECTIONS) | {"figure"}
 
@@ -219,7 +219,6 @@ def load_config(path: str) -> dict:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid params: {exc}") from None
     cfg.update(_settings(raw, mode, base), params=base)
-    _check_point(cfg)
 
     for which in ("sweep", "sweep2"):
         cfg[which] = (_parse_sweep(raw[which], mode, which, base)
@@ -259,7 +258,7 @@ def _settings(raw: dict, mode: str, params: SystemParams) -> dict:
 
 
 def _check_point(point: dict) -> None:
-    """The rules every point config obeys, base and swept values alike."""
+    """The rules every point config obeys that its parsing does not."""
     mode = point["mode"]
     if mode == "spectrum":
         try:
@@ -271,12 +270,9 @@ def _check_point(point: dict) -> None:
         raise ConfigError("stark.delta_2 must be nonzero")
     if mode == "collective":
         try:
-            PatternSpec(point["n_atoms"], point["parity"])
+            _pattern_response(point["n_atoms"], point["params"])
         except ValueError as exc:
-            raise ConfigError(f"invalid pattern: {exc}") from None
-        if point["params"].g0 == 0:
-            raise ConfigError("params.g0 must be nonzero in mode 'collective': "
-                              "its closed forms divide by the coupling")
+            raise ConfigError(f"mode 'collective': {exc}") from None
     if mode == "evolve" and point["t_final"] < 0:
         raise ConfigError("evolve.t_final must be >= 0")
 
@@ -290,8 +286,9 @@ def _sweep_values(swp: dict) -> np.ndarray:
 def _grid(cfg: dict, axes: list) -> list[tuple[dict, dict]]:
     """(assignments, point config) per point of the product of the axes.
 
-    Every point passes the checks the base values pass; a swept value
-    that fails one is a ConfigError naming it.
+    _check_point checks each point once, and never the base values alone,
+    as a swept setting's base value goes unused.  A point that fails is a
+    ConfigError, which names its swept values if it has any.
     """
     names = [name for name, _ in axes]
     grid = []
@@ -303,7 +300,8 @@ def _grid(cfg: dict, axes: list) -> list[tuple[dict, dict]]:
             point = _apply(cfg, assignments)
             _check_point(point)
         except ValueError as exc:  # includes ConfigError
-            raise ConfigError(f"sweep point {assignments}: {exc}") from None
+            where = f"sweep point {assignments}: " if assignments else ""
+            raise ConfigError(f"{where}{exc}") from None
         grid.append((assignments, point))
     return grid
 
@@ -372,8 +370,7 @@ def _quantities(point: dict, solved: dict | None) -> dict:
         probe = ProbeParams(omega_p_tilde=point["omega_p"])
         return {"w": excitation_spectrum(point["delta_p"], params, probe)}
     if mode == "collective":
-        field = in_phase_field(PatternSpec(point["n_atoms"], point["parity"]),
-                               params)
+        field = in_phase_field(point["n_atoms"], params)
         return {"re_alpha": field.alpha.real, "im_alpha": field.alpha.imag,
                 "mean_n": field.mean_n, "i_cav": field.i_cav,
                 "i_at": field.i_at, "pi_e": field.pi_e}

@@ -15,7 +15,6 @@ from .model import (
     SystemParams,
     atom_coupling,
     build_liouvillian,
-    build_space,
     mode_function,
     term_plan,
 )

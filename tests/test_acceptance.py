@@ -155,17 +155,17 @@ def test_criterion_06_perturbative_oracle():
 def test_criterion_07_collective_crossover():
     p = _single(1e-3, 1e-3, 1e-3)
     ns = np.arange(1, 26)
-    mags = np.array([abs(dc.in_phase_field(dc.PatternSpec(int(n)), p).alpha)
+    mags = np.array([abs(dc.in_phase_field(int(n), p).alpha)
                      for n in ns])
     fit = np.polyfit(ns, mags, 1)
     resid = np.max(np.abs(mags - np.polyval(fit, ns))) / mags.max()
     ok = resid < 0.02
 
-    a2500 = dc.in_phase_field(dc.PatternSpec(2500), p).alpha
+    a2500 = dc.in_phase_field(2500, p).alpha
     ok &= abs(a2500 + p.omega / p.g0) < 0.1 * p.omega / p.g0
 
     deep = np.geomspace(1e5, 1e6, 5).astype(int)
-    pe = [dc.in_phase_field(dc.PatternSpec(int(n)), p).pi_e for n in deep]
+    pe = [dc.in_phase_field(int(n), p).pi_e for n in deep]
     slope = np.polyfit(np.log(deep), np.log(pe), 1)[0]
     ok &= abs(slope + 2.0) < 0.05
 
@@ -174,7 +174,7 @@ def test_criterion_07_collective_crossover():
     s = p11.g0**2 / (0.25 + p11.delta**2)  # (gamma/2)^2, gamma = 1
     predicted = p11.delta_c / (s * p11.delta)
     ns11 = np.arange(20, 101)
-    pe11 = [dc.in_phase_field(dc.PatternSpec(int(n)), p11).pi_e
+    pe11 = [dc.in_phase_field(int(n), p11).pi_e
             for n in ns11]
     found = ns11[int(np.argmax(pe11))]
     ok &= abs(found - predicted) <= 0.05 * predicted
@@ -187,7 +187,7 @@ def test_criterion_08_adiabatic_vs_exact():
     p = _single(1.0, 1.0, 0.2, delta=100.0)
     obs = dc.observables(dc.solve_steady(p).rho, p)
     alpha = dc.adiabatic_alpha(p)
-    pi_e = dc.in_phase_field(dc.PatternSpec(1), p).pi_e
+    pi_e = dc.in_phase_field(1, p).pi_e
     rel_a = abs(alpha - obs.alpha) / abs(alpha)
     rel_p = abs(pi_e - obs.pi_e_per_atom[0]) / pi_e
     ok = rel_a < 0.05 and rel_p < 0.10
@@ -196,15 +196,13 @@ def test_criterion_08_adiabatic_vs_exact():
 
 
 def test_criterion_09_pattern_stability():
-    pat = dc.PatternSpec(4)
-
     def params(delta_c, delta):
         return dc.SystemParams(positions=(0.0,) * 4, g0=1.0, omega=1.0,
                                kappa=0.1, delta=delta, delta_c=delta_c)
 
-    neg = dc.restoring_coefficient(pat, params(-0.01, 2.0))
-    pos = dc.restoring_coefficient(pat, params(+0.01, 2.0))
-    other = dc.restoring_coefficient(pat, params(-0.01, 7.0))
+    neg = dc.restoring_coefficient(4, params(-0.01, 2.0))
+    pos = dc.restoring_coefficient(4, params(+0.01, 2.0))
+    other = dc.restoring_coefficient(4, params(-0.01, 7.0))
     ok = neg < 0 < pos and abs(neg - other) < 1e-12
 
     p = params(-0.01, 2.0)

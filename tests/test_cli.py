@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from drivencavity import cli, dynamics, model
-from drivencavity.collective import PatternSpec, in_phase_field
+from drivencavity.collective import in_phase_field
 from drivencavity.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -167,6 +167,9 @@ def test_sweep_validation(tmp_path, sweep):
     {"mode": "collective", "params": dict(BASE_PARAMS, g0=0.0)},
     {"mode": "collective",
      "sweep": {"param": "g0", "start": -1.0, "stop": 1.0, "points": 3}},
+    # a lattice at the antinodes is its atom count: no key picks the
+    # antinode family, as the other one only flips alpha's sign
+    {"mode": "collective", "pattern": {"parity": 0}},
 ])
 def test_malformed_field_is_config_error(tmp_path, overrides):
     cfg = _write_cfg(tmp_path, dict({
@@ -174,6 +177,36 @@ def test_malformed_field_is_config_error(tmp_path, overrides):
         "output": {"path": str(tmp_path / "o.csv"), "format": "csv"}},
         **overrides))
     assert main(["validate", cfg]) == EXIT_CONFIG
+
+
+# a swept setting's base value goes unused: each of these, whose every
+# point is valid, once failed validate on its base value
+@pytest.mark.parametrize("overrides", [
+    {"mode": "stark", "stark": {"delta_2": 0.0},
+     "sweep": {"param": "delta_2", "start": 500.0, "stop": 1000.0,
+               "points": 3}},
+    {"mode": "collective", "params": dict(BASE_PARAMS, g0=0.0),
+     "sweep": {"param": "g0", "start": 0.5, "stop": 1.0, "points": 3}},
+    {"mode": "evolve", "evolve": {"t_final": -1.0},
+     "sweep": {"param": "t_final", "start": 1.0, "stop": 2.0, "points": 3}},
+    {"mode": "collective", "pattern": {"n_atoms": 0},
+     "sweep": {"param": "n_atoms", "start": 1.0, "stop": 5.0, "points": 5}},
+], ids=["stark-delta_2", "collective-g0", "evolve-t_final",
+        "collective-n_atoms"])
+def test_base_value_of_a_swept_setting_is_not_checked(tmp_path, overrides):
+    cfg = _write_cfg(tmp_path, dict({
+        "mode": "steady", "params": BASE_PARAMS,
+        "output": {"path": str(tmp_path / "o.csv"), "format": "csv"}},
+        **overrides))
+    assert main(["validate", cfg]) == EXIT_OK
+
+
+def test_unswept_point_error_names_no_sweep_point(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, {
+        "mode": "collective", "params": dict(BASE_PARAMS, g0=0.0)})
+    assert main(["validate", cfg]) == EXIT_CONFIG
+    assert capsys.readouterr().err \
+        == "config error: mode 'collective': g0 must be nonzero\n"
 
 
 # each of these once passed, read through float()
@@ -328,10 +361,10 @@ def test_failed_preset_rows_keep_axis_columns(monkeypatch):
     good = {name: run_figure(name, points=5) for name in ("fig10", "fig9a")}
     real = cli.in_phase_field
 
-    def fails_for_some(pattern, params):
-        if pattern.n_atoms > 100 or params.kappa == 0.01:
+    def fails_for_some(n_atoms, params):
+        if n_atoms > 100 or params.kappa == 0.01:
             raise RuntimeError("forced failure")
-        return real(pattern, params)
+        return real(n_atoms, params)
 
     monkeypatch.setattr(cli, "in_phase_field", fails_for_some)
     for name, n_axes in (("fig10", 1), ("fig9a", 2)):
@@ -468,8 +501,7 @@ def _library_row(mode: str, point: dict) -> dict:
         obs = dynamics.observables(rho, params)
         return {"i_at": obs.i_at_total, "mean_n": obs.mean_n,
                 "re_alpha": obs.alpha.real, "im_alpha": obs.alpha.imag}
-    alpha = in_phase_field(PatternSpec(point["n_atoms"], point["parity"]),
-                           params).alpha
+    alpha = in_phase_field(point["n_atoms"], params).alpha
     return {"re_alpha": alpha.real, "im_alpha": alpha.imag}
 
 
@@ -1015,7 +1047,7 @@ def test_strict_mode_stops_on_a_saturated_collective_row(tmp_path):
     cfg_path = _write_cfg(tmp_path, {
         "mode": "collective",
         "params": dict(BASE_PARAMS, g0=1.0, kappa=10.0),
-        "pattern": {"n_atoms": 1, "parity": 0},
+        "pattern": {"n_atoms": 1},
         "output": {"path": str(tmp_path / "o.csv"), "format": "csv"}})
     assert main(["run", cfg_path]) == EXIT_OK
     assert main(["run", cfg_path, "--strict"]) == EXIT_REGIME
@@ -1049,8 +1081,10 @@ def test_collective_rows_keep_their_invariants(tmp_path):
             "mode": "collective",
             "params": {"positions": [0.0],
                        **{k: v / gamma for k, v in rates.items()}},
-            "pattern": {"n_atoms": n_atoms,
-                        "parity": int(rng.integers(2))}}, f"c{i}.json")
+            "pattern": {"n_atoms": n_atoms}}, f"c{i}.json")
+        # a spare draw, so that the 200 systems stay the ones the warning
+        # count below was measured on
+        rng.integers(2)
         cfg = load_config(cfg_path)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from drivencavity.collective import PatternSpec, semiclassical_force
+from drivencavity.collective import in_phase_field, semiclassical_force
 from drivencavity.dynamics import solve_steady
 from drivencavity.model import (
     NodePositionError,
@@ -335,8 +335,8 @@ def test_entry_points_refuse_a_non_finite_input(call, name):
     (lambda: SpaceDescriptor(1.0, 2), "n_atoms"),
     (lambda: SpaceDescriptor(True, 2), "n_atoms"),
     (lambda: solve_steady(SystemParams(**_ONE_ATOM), n_max=2.5), "n_max"),
-    (lambda: PatternSpec(_NAN), "n_atoms"),
-    (lambda: PatternSpec(2.5), "n_atoms"),
+    (lambda: in_phase_field(_NAN, SystemParams(**_ONE_ATOM)), "n_atoms"),
+    (lambda: in_phase_field(2.5, SystemParams(**_ONE_ATOM)), "n_atoms"),
     (lambda: dressed_eigenvalues(_NAN, SystemParams(**_ONE_ATOM)), "n"),
     (lambda: dressed_eigenvalues(2.0, SystemParams(**_ONE_ATOM)), "n"),
 ], ids=["space-n_max-half", "space-n_max-nan", "space-n_atoms-float",
@@ -351,6 +351,5 @@ def test_sizes_must_be_integers(call, name):
 def test_numpy_integers_are_sizes():
     space = SpaceDescriptor(np.int64(2), np.int32(3))
     assert space.dim == 16 and space == SpaceDescriptor(2, 3)
-    assert PatternSpec(np.int64(3)).n_atoms == 3
     p = SystemParams(**_ONE_ATOM)
     assert dressed_eigenvalues(np.int64(2), p) == dressed_eigenvalues(2, p)
